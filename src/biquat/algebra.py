@@ -212,26 +212,51 @@ class Biquaternion:
                    for a, b in zip(self.coefficients(), other.coefficients()))
 
 
+def hamilton(p, q):
+    """Hamilton product of (w, x, y, z) sequences, from i^2 = j^2 = k^2 = ijk = -1.
+
+    Entries may be floats or numpy arrays that broadcast together.
+    """
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
 def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product, from i^2 = j^2 = k^2 = ijk = -1."""
-    return Quaternion(
-        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
-    )
+    """Hamilton product of two quaternions."""
+    return Quaternion(*hamilton((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
 
 
-def biquat_mul(p: Biquaternion, q: Biquaternion) -> Biquaternion:
-    """Biquaternion product.
+def mul_coefficients(p, q) -> tuple:
+    """Biquaternion product on 8-coefficient sequences in canonical order.
 
     Because I commutes with i, j, k and I^2 = -1:
     (p_r + p_i I)(q_r + q_i I) = (p_r q_r - p_i q_i) + (p_r q_i + p_i q_r) I.
+    Entries may be floats or numpy arrays, as for ``hamilton``.
     """
-    return Biquaternion(
-        quat_mul(p.qr, q.qr) - quat_mul(p.qi, q.qi),
-        quat_mul(p.qr, q.qi) + quat_mul(p.qi, q.qr),
-    )
+    rr, ii = hamilton(p[:4], q[:4]), hamilton(p[4:], q[4:])
+    ri, ir = hamilton(p[:4], q[4:]), hamilton(p[4:], q[:4])
+    return tuple(u - v for u, v in zip(rr, ii)) + tuple(u + v for u, v in zip(ri, ir))
+
+
+def biquat_mul(p: Biquaternion, q: Biquaternion) -> Biquaternion:
+    """Biquaternion product (see ``mul_coefficients``)."""
+    return Biquaternion.from_coefficients(
+        *mul_coefficients(p.coefficients(), q.coefficients()))
+
+
+def square_residual(q: Biquaternion) -> float:
+    """Euclidean norm of the coefficients of ``q^2 + 1``; zero exactly on the roots.
+
+    A finite q whose square overflows gets ``inf``, not an error.
+    """
+    c = q.coefficients()
+    sq = mul_coefficients(c, c)
+    residual = math.hypot(sq[0] + 1.0, *sq[1:])
+    return math.inf if math.isnan(residual) else residual
 
 
 def convert_view(value, target: str):

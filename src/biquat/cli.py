@@ -25,6 +25,7 @@ from .algebra import (
     PureUnit,
     biquat_mul,
     convert_view,
+    square_residual,
 )
 from .oracle import (
     LatticeSpec,
@@ -177,7 +178,7 @@ def _cmd_classify(args) -> int:
             code = max(code, EXIT_VIOLATION)
             continue
         residual = (result.residual if isinstance(result, NotRoot)
-                    else (biquat_mul(q, q) + 1.0).coefficient_norm())
+                    else square_residual(q))
         line, data = _classification_fields(result, args.digits)
         if args.json:
             data["residual"] = residual
@@ -201,6 +202,8 @@ def _cmd_make_root(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ParseError(f"--count must be nonnegative, got {args.count}")
     rng = np.random.default_rng(args.seed)
     for _ in range(args.count):
         root = sample_root(rng, args.t_max)

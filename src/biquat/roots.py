@@ -24,7 +24,7 @@ from .algebra import (
     Biquaternion,
     PureUnit,
     Quaternion,
-    biquat_mul,
+    square_residual,
 )
 
 # Default tolerance for the |dot(mu, nu)| perpendicularity check.
@@ -175,7 +175,10 @@ def make_nontrivial_root(mu: PureUnit, nu: PureUnit, t: float,
     dot = mu.dot(nu)
     if abs(dot) > perp_tol:
         raise PerpendicularityError(dot, perp_tol)
-    b, d = math.cosh(t), math.sinh(t)
+    try:
+        b, d = math.cosh(t), math.sinh(t)
+    except OverflowError:
+        raise ValueError(f"cosh(t) overflows a double at t = {t!r}") from None
     return Biquaternion(_scaled_vector(b, mu), _scaled_vector(d, nu))
 
 
@@ -221,7 +224,7 @@ def constraint_residuals(q: Biquaternion) -> Residuals:
         imag_scalar -= 2.0 * b * d * mu.dot(nu)
     imag_vector = _scaled_vector(2.0 * a * d, nu) + _scaled_vector(2.0 * b * c, mu)
 
-    aggregate = (biquat_mul(q, q) + 1.0).coefficient_norm()
+    aggregate = square_residual(q)
     return Residuals(real_scalar, real_vector, imag_scalar, imag_vector, aggregate)
 
 
@@ -251,7 +254,7 @@ def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassificati
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    residual = constraint_residuals(q).aggregate
+    residual = square_residual(q)
     if residual > tol:
         return NotRoot(residual)
 

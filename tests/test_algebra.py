@@ -13,8 +13,10 @@ from biquat.algebra import (
     biquat_mul,
     convert_view,
     dot_cross,
+    mul_coefficients,
     quat_mul,
     scalar_vector_split,
+    square_residual,
 )
 from oracles import complex_hamilton, square_via_complex_view
 
@@ -114,6 +116,42 @@ def test_square_matches_complex_view_route():
         got = biquat_mul(q, q).coefficients()
         assert np.allclose(got, square_via_complex_view(q.coefficients()),
                            rtol=0, atol=1e-10)
+
+
+def test_mul_coefficients_on_arrays_matches_scalar_product():
+    rng = np.random.default_rng(5)
+    p, q = rng.uniform(-10, 10, (8, 50)), rng.uniform(-10, 10, (8, 50))
+    got = np.array(mul_coefficients(p, q))
+    for col in range(50):
+        want = biquat_mul(Biquaternion.from_coefficients(*p[:, col]),
+                          Biquaternion.from_coefficients(*q[:, col]))
+        assert tuple(got[:, col]) == want.coefficients()
+
+
+def test_mul_coefficients_on_identity_gives_multiplication_matrices():
+    rng = np.random.default_rng(6)
+    eye = np.eye(8)
+    for _ in range(20):
+        x, y = rng.uniform(-3, 3, 8), rng.uniform(-3, 3, 8)
+        left = np.array(mul_coefficients(x, eye))
+        right = np.array(mul_coefficients(eye, x))
+        assert np.allclose(left @ y, mul_coefficients(x, y), rtol=0, atol=1e-12)
+        assert np.allclose(right @ y, mul_coefficients(y, x), rtol=0, atol=1e-12)
+
+
+def test_square_residual_examples():
+    assert square_residual(Biquaternion.from_coefficients(0, 0, 0, 0, 1, 0, 0, 0)) == 0.0
+    assert square_residual(Biquaternion.from_coefficients(0, 1, 0, 0, 0, 0, 0, 0)) == 0.0
+    assert square_residual(Biquaternion.from_scalar(1.0)) == 2.0
+    # (1 + i)^2 + 1 = 1 + 2i
+    assert square_residual(Biquaternion.from_coefficients(1, 1, 0, 0, 0, 0, 0, 0)) \
+        == pytest.approx(math.sqrt(5), abs=1e-15)
+    # finite inputs whose square overflows
+    assert square_residual(Biquaternion.from_scalar(1e200)) == math.inf
+    # (1e200 i + 1e200 jI)^2: the overflowed terms cancel to nan in the
+    # real scalar and the kI coefficient, and no coefficient is inf
+    q = Biquaternion.from_coefficients(0, 1e200, 0, 0, 0, 0, 1e200, 0)
+    assert square_residual(q) == math.inf
 
 
 def test_convert_view_example():

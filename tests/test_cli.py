@@ -75,6 +75,11 @@ def test_classify_root_exits_zero(capsys):
 def test_classify_not_a_root_exits_one(capsys):
     assert main(["classify", "1 0 0 0 0 0 0 0"]) == 1
     assert capsys.readouterr().out == "not-a-root residual=2\n"
+    # finite input whose square overflows: a verdict, not a usage error
+    assert main(["classify", "1e200 0 0 0 0 0 0 0"]) == 1
+    assert capsys.readouterr().out == "not-a-root residual=inf\n"
+    assert main(["classify", "1e200 0 0 0 0 0 0 inf"]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_classify_json(capsys):
@@ -120,6 +125,18 @@ def test_make_root_rejects_bad_directions(capsys):
                  "--nu", "0.7071067811865475 0.7071067811865475 0",
                  "--t", "1"]) == 2
     assert "perpendicular" in capsys.readouterr().err
+
+
+def test_make_root_rejects_overflowing_t(capsys):
+    assert main(["make-root", "--mu", "1 0 0", "--nu", "0 1 0", "--t", "1000"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_sample_rejects_negative_count(capsys):
+    assert main(["sample", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count" in captured.err
 
 
 def test_sample_is_deterministic(capsys):
@@ -185,6 +202,8 @@ def test_lattice_rejects_bad_grid(capsys):
     assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0",
                  "--bound", "1", "--step", "0.3"]) == 2
     assert "integer" in capsys.readouterr().err
+    assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0", "--bound", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_verify_examples(capsys):

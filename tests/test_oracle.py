@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,8 +140,25 @@ def test_lattice_guards():
         LatticeSpec(1.0, 0.3, MU_I, NU_J)
     with pytest.raises(ValueError, match="positive"):
         LatticeSpec(-1.0, 0.25, MU_I, NU_J)
+    for bound, step in ((math.inf, 0.25), (math.nan, 0.25), (2.0, math.inf),
+                        (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="finite"):
+            LatticeSpec(bound, step, MU_I, NU_J)
     axis = LatticeSpec(2.0, 0.25, MU_I, NU_J).axis()
     assert 0.0 in axis and 1.0 in axis and -1.0 in axis
+
+
+def test_lattice_cap_checked_without_building_the_grid():
+    spec = LatticeSpec(1e9, 1.0, MU_I, NU_J)   # 2e9 + 1 points per axis
+    tracemalloc.start()
+    try:
+        assert spec.point_count() == (2 * 10 ** 9 + 1) ** 4
+        with pytest.raises(ValueError, match="cap"):
+            lattice_search(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_scan_kernel_matches_scalar_route():

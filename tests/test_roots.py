@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biquat.algebra import Biquaternion, PureUnit, Quaternion, biquat_mul
+from biquat import roots
 from biquat.oracle import sample_perpendicular, sample_unit_pure
 from biquat.roots import (
     ImaginaryUnit,
@@ -62,6 +63,9 @@ def test_make_root_rejects_nonperpendicular():
 def test_make_root_rejects_nonfinite_t():
     with pytest.raises(ValueError, match="finite"):
         make_nontrivial_root(MU_I, NU_J, float("nan"))
+    for t in (1000.0, -1000.0):   # finite t whose cosh is not
+        with pytest.raises(ValueError, match="overflows"):
+            make_nontrivial_root(MU_I, NU_J, t)
 
 
 def test_generator_soundness_sweep():
@@ -177,6 +181,18 @@ def test_classify_not_root_example():
     result = classify_root(Biquaternion.from_coefficients(1, 1, 0, 0, 0, 0, 0, 0))
     assert isinstance(result, NotRoot)
     assert result.residual == pytest.approx(math.sqrt(5), abs=1e-12)
+    # finite input whose square overflows
+    result = classify_root(Biquaternion.from_coefficients(1e200, 0, 0, 0, 0, 0, 0, 0))
+    assert result == NotRoot(math.inf)
+
+
+def test_classify_decomposes_only_roots_and_only_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(roots, "decompose", lambda q: calls.append(q) or decompose(q))
+    classify_root(Biquaternion.from_coefficients(1, 1, 0, 0, 0, 0, 0, 0))
+    assert calls == []
+    classify_root(make_nontrivial_root(MU_I, NU_J, 1.0))
+    assert len(calls) == 1
 
 
 def test_classify_imaginary_unit_both_signs():
