@@ -34,6 +34,17 @@ def _check_finite(kind: str, *values: float) -> None:
             raise ValueError(f"{kind} coefficients must be finite, got {v!r}")
 
 
+def check_tolerance(name: str, value: float, *, allow_zero: bool = False) -> None:
+    """Reject a tolerance that is not finite and positive (or zero, if allowed).
+
+    A nan or infinite tolerance makes every comparison against it
+    meaningless, so it is a usage error (``ValueError``), not a verdict.
+    """
+    if not (math.isfinite(value) and (value > 0.0 or allow_zero and value == 0.0)):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Quaternion:
     """Real quaternion ``w + x*i + y*j + z*k``."""
@@ -44,11 +55,16 @@ class Quaternion:
     z: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
-        _check_finite("Quaternion", self.w, self.x, self.y, self.z)
+        w, x, y, z = self.w, self.x, self.y, self.z
+        if not (type(w) is type(x) is type(y) is type(z) is float):
+            w, x, y, z = float(w), float(x), float(y), float(z)
+            object.__setattr__(self, "w", w)
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "z", z)
+        if not (math.isfinite(w) and math.isfinite(x)
+                and math.isfinite(y) and math.isfinite(z)):
+            _check_finite("Quaternion", w, x, y, z)
 
     def __add__(self, other: Quaternion) -> Quaternion:
         return Quaternion(self.w + other.w, self.x + other.x,

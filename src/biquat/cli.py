@@ -24,6 +24,7 @@ from .algebra import (
     Biquaternion,
     PureUnit,
     biquat_mul,
+    check_tolerance,
     convert_view,
     square_residual,
 )
@@ -162,6 +163,7 @@ def _classification_fields(result, digits: int) -> tuple[str, dict]:
 
 
 def _cmd_classify(args) -> int:
+    check_tolerance("tol", args.tol)   # also when there are no input lines
     code = EXIT_OK
     for text in _inputs(args):
         q = parse_biquaternion(text)

@@ -36,6 +36,7 @@ from .algebra import (
     PureUnit,
     Quaternion,
     biquat_mul,
+    check_tolerance,
     hamilton,
     mul_coefficients,
     square_residual,
@@ -50,6 +51,19 @@ from .roots import (
 
 _MAX_LATTICE_POINTS = 100_000_000
 _EYE8 = np.eye(8)
+
+
+def _jacobian_basis() -> np.ndarray:
+    """The Jacobian of q -> q^2 + 1 as an (8, 64) linear map of q.
+
+    Row k holds the flattened L(e_k) + R(e_k); products[i, k, j] is
+    component i of e_k * e_j, so its transpose in (k, j) gives e_j * e_k.
+    """
+    products = np.array(mul_coefficients(_EYE8[:, :, None], _EYE8[:, None, :]))
+    return (products + products.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(8, 64)
+
+
+_JACOBIAN_BASIS = _jacobian_basis()
 
 
 class NonConvergenceError(RuntimeError):
@@ -71,7 +85,7 @@ def sample_unit_pure(rng: np.random.Generator) -> PureUnit:
     exactly uniform. Identical generator states yield identical outputs.
     """
     while True:
-        v = rng.standard_normal(3)
+        v = rng.standard_normal(3).tolist()
         n = math.hypot(v[0], v[1], v[2])
         if n > 1e-9:
             return PureUnit(v[0] / n, v[1] / n, v[2] / n)
@@ -175,17 +189,19 @@ def _square_residual_arrays(qr, qi):
     kernel; hits are re-verified with the scalar path before reporting.
     It keeps the four ``hamilton`` products alive through the sum; freeing
     them first (as ``mul_coefficients`` does) re-faults fresh pages on
-    every slice and cost 10-20% of scan throughput.
+    every slice and cost 10-20% of scan throughput. Points whose square
+    overflows come out inf or nan, quietly; neither passes ``res <= tol``.
     """
-    rr, ii = hamilton(qr, qr), hamilton(qi, qi)
-    ri, ir = hamilton(qr, qi), hamilton(qi, qr)
-    re = [u - v for u, v in zip(rr, ii)]
-    im = [u + v for u, v in zip(ri, ir)]
-    re[0] = re[0] + 1.0
-    total = re[0] * re[0]
-    for comp in re[1:] + im:
-        total = total + comp * comp
-    return np.sqrt(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr, ii = hamilton(qr, qr), hamilton(qi, qi)
+        ri, ir = hamilton(qr, qi), hamilton(qi, qr)
+        re = [u - v for u, v in zip(rr, ii)]
+        im = [u + v for u, v in zip(ri, ir)]
+        re[0] = re[0] + 1.0
+        total = re[0] * re[0]
+        for comp in re[1:] + im:
+            total = total + comp * comp
+        return np.sqrt(total)
 
 
 def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
@@ -196,8 +212,9 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
     squared and points with aggregate residual <= tol are recorded along
     with their classification. A hit that fails to classify into a root
     family is a reportable finding, recorded in ``violations`` rather
-    than raised.
+    than raised. ``tol`` must be finite and positive.
     """
+    check_tolerance("tol", tol)
     total_points = spec.point_count()
     if total_points > max_points:
         raise ValueError(
@@ -236,7 +253,13 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
 
 
 def _squared_plus_one(x: np.ndarray) -> np.ndarray:
-    return np.array(mul_coefficients(x, x)) + _EYE8[0]
+    c = x.tolist()
+    return np.array(mul_coefficients(c, c)) + _EYE8[0]
+
+
+def _jacobian(x: np.ndarray) -> np.ndarray:
+    """L(x) + R(x): every entry is 0 or +/-2 x_k, so the contraction is exact."""
+    return (x @ _JACOBIAN_BASIS).reshape(8, 8)
 
 
 def refine_root(q0: Biquaternion, max_iter: int = 25, *,
@@ -244,9 +267,10 @@ def refine_root(q0: Biquaternion, max_iter: int = 25, *,
     """Newton-project a near-root onto the manifold ``{q : q^2 = -1}``.
 
     Iterates on the 8-dimensional map F(q) = coefficients of q^2 + 1. F is
-    quadratic, so its Jacobian is exactly L(q) + R(q), the matrices of left
-    and right multiplication by q, read off the product applied to the
-    identity columns (no finite differences). The root manifold is
+    quadratic, so its Jacobian L(q) + R(q) (the matrices of left and right
+    multiplication by q) is linear in q: it is read off a constant basis,
+    built once from the product on the identity, by one small matmul per
+    iteration, with F itself evaluated on plain floats. The root manifold is
     4-dimensional, which makes the Jacobian rank-deficient at every
     solution; steps therefore come from an SVD least-squares solve that
     cuts singular values below 1e-6 of the largest, the standard damped
@@ -254,8 +278,11 @@ def refine_root(q0: Biquaternion, max_iter: int = 25, *,
 
     Inputs with aggregate residual above ``basin`` are rejected: far from
     the manifold the iteration has no convergence story. Inputs already
-    at the target residual are returned unchanged.
+    at the target residual are returned unchanged. ``target`` and
+    ``basin`` must be finite and positive.
     """
+    check_tolerance("target", target)
+    check_tolerance("basin", basin)
     x = np.array(q0.coefficients())
     f = _squared_plus_one(x)
     residual = float(np.linalg.norm(f))
@@ -266,8 +293,7 @@ def refine_root(q0: Biquaternion, max_iter: int = 25, *,
         return q0
 
     for _ in range(max_iter):
-        jac = np.array(mul_coefficients(x, _EYE8)) + np.array(mul_coefficients(_EYE8, x))
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-6)
+        step, *_ = np.linalg.lstsq(_jacobian(x), -f, rcond=1e-6)
         scale = 1.0
         for _ in range(30):
             x_new = x + scale * step
@@ -278,14 +304,14 @@ def refine_root(q0: Biquaternion, max_iter: int = 25, *,
             scale *= 0.5
         else:
             raise NonConvergenceError(
-                Biquaternion.from_coefficients(*x), residual,
+                Biquaternion.from_coefficients(*x.tolist()), residual,
                 "damped Newton step failed to reduce the residual")
         x, f, residual = x_new, f_new, residual_new
         if residual <= target:
-            return Biquaternion.from_coefficients(*x)
+            return Biquaternion.from_coefficients(*x.tolist())
 
     raise NonConvergenceError(
-        Biquaternion.from_coefficients(*x), residual,
+        Biquaternion.from_coefficients(*x.tolist()), residual,
         f"no convergence within {max_iter} iterations")
 
 

@@ -24,6 +24,7 @@ from .algebra import (
     Biquaternion,
     PureUnit,
     Quaternion,
+    check_tolerance,
     square_residual,
 )
 
@@ -168,10 +169,12 @@ def make_nontrivial_root(mu: PureUnit, nu: PureUnit, t: float,
     roundoff, which grows like cosh(t)^2 * eps; at |t| <= 5 the aggregate
     residual stays below 1e-11). At t = 0 the result is exactly mu.
 
-    Raises PerpendicularityError if |dot(mu, nu)| exceeds ``perp_tol``.
+    Raises PerpendicularityError if |dot(mu, nu)| exceeds ``perp_tol``,
+    which must be finite and nonnegative.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    check_tolerance("perp_tol", perp_tol, allow_zero=True)
     dot = mu.dot(nu)
     if abs(dot) > perp_tol:
         raise PerpendicularityError(dot, perp_tol)
@@ -252,8 +255,7 @@ def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassificati
     within tol. The diagnostic fires there too: certification stays loud
     instead of absorbing a direction it cannot confirm.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_tolerance("tol", tol)
     residual = square_residual(q)
     if residual > tol:
         return NotRoot(residual)

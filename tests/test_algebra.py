@@ -11,6 +11,7 @@ from biquat.algebra import (
     PureUnit,
     Quaternion,
     biquat_mul,
+    check_tolerance,
     convert_view,
     dot_cross,
     mul_coefficients,
@@ -289,6 +290,28 @@ def test_nonfinite_coefficients_rejected():
         Biquaternion.from_coefficients(0, 1, 0, 0, 0, 0, float("inf"), 0)
     with pytest.raises(ValueError, match="finite"):
         ComplexScalar(0.0, float("-inf"))
+
+
+def test_quaternion_stores_plain_floats():
+    for q in (Quaternion(1, 2, 3, 4), Quaternion(*np.arange(4.0)),
+              Quaternion(1.0, 2.0, 3.0, np.float64(4.0)), Quaternion(0.5, 1.5, -2.0, 3.0)):
+        assert all(type(v) is float for v in (q.w, q.x, q.y, q.z))
+    with pytest.raises(ValueError, match="Quaternion coefficients must be finite, got inf"):
+        Quaternion(0.0, 1.0, float("inf"), 2.0)
+    with pytest.raises(ValueError, match="Quaternion coefficients must be finite, got nan"):
+        Quaternion(0, 1, 2, np.float64("nan"))
+
+
+def test_check_tolerance():
+    check_tolerance("tol", 1e-9)
+    check_tolerance("tol", 1)
+    check_tolerance("perp_tol", 0.0, allow_zero=True)
+    for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            check_tolerance("tol", bad)
+    for bad in (math.nan, math.inf, -1e-300):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check_tolerance("perp_tol", bad, allow_zero=True)
 
 
 def test_pure_unit_validation():

@@ -233,9 +233,20 @@ def test_classify_theorem_violation_exits_three(capsys):
     assert "dot" in out
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(monkeypatch, capsys):
     assert main(["classify", "1 2 3"]) == 2
     assert "expected 8 numbers" in capsys.readouterr().err
+    lattice = ["lattice", "--mu", "1 0 0", "--nu", "0 1 0"]
+    for argv in (["classify", "--tol", "inf", "1 2 3 0 0 0 0 0"],
+                 ["classify", "--tol", "nan", "1 0 0 0 0 0 0 0"],
+                 ["make-root", "--mu", "1 0 0", "--nu", "1 0 0", "--t", "1", "--tol", "nan"],
+                 lattice + ["--tol", "nan"],
+                 lattice + ["--tol", "-1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite and" in captured.err
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["classify", "--tol", "nan"]) == 2
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2

@@ -1,15 +1,18 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from biquat.algebra import Biquaternion, PureUnit, biquat_mul
+from biquat.algebra import Biquaternion, PureUnit, biquat_mul, mul_coefficients
 from biquat.oracle import (
     LatticeSpec,
     NonConvergenceError,
     TermTable,
+    _jacobian,
     _square_residual_arrays,
+    _squared_plus_one,
     format_terms,
     lattice_search,
     refine_root,
@@ -146,6 +149,9 @@ def test_lattice_guards():
             LatticeSpec(bound, step, MU_I, NU_J)
     axis = LatticeSpec(2.0, 0.25, MU_I, NU_J).axis()
     assert 0.0 in axis and 1.0 in axis and -1.0 in axis
+    for bad in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            lattice_search(LatticeSpec(0.5, 0.25, MU_I, NU_J), bad)
 
 
 def test_lattice_cap_checked_without_building_the_grid():
@@ -172,6 +178,34 @@ def test_scan_kernel_matches_scalar_route():
         assert abs(scalar - expected) <= 1e-12 * max(1.0, scalar)
 
 
+def test_lattice_overflowing_grid_is_quiet():
+    # every nonzero point's square overflows; such points are misses, not warnings
+    spec = LatticeSpec(1e200, 1e200, MU_I, NU_J)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = lattice_search(spec)
+    assert report.hits == () and report.violations == () and report.scanned == 81
+
+
+def test_jacobian_basis_is_exact():
+    rng = np.random.default_rng(109)
+    eye = np.eye(8)
+    for _ in range(100):
+        x = rng.uniform(-3, 3, 8)
+        want = np.array(mul_coefficients(x, eye)) + np.array(mul_coefficients(eye, x))
+        assert (_jacobian(x) == want).all()
+
+
+def test_jacobian_matches_central_differences():
+    rng = np.random.default_rng(110)
+    h = 1e-6
+    for _ in range(100):
+        x = rng.uniform(-3, 3, 8)
+        columns = [(_squared_plus_one(x + h * e) - _squared_plus_one(x - h * e)) / (2 * h)
+                   for e in np.eye(8)]
+        assert np.allclose(_jacobian(x), np.column_stack(columns), rtol=0, atol=1e-6)
+
+
 def test_refine_exact_root_returned_unchanged():
     q = make_nontrivial_root(MU_I, NU_J, 1.0)
     assert refine_root(q) is q
@@ -184,11 +218,18 @@ def test_refine_perturbed_root():
     refined = refine_root(noisy)
     assert (biquat_mul(refined, refined) + 1.0).coefficient_norm() <= 1e-12
     assert isinstance(classify_root(refined), Nontrivial)
+    assert all(type(c) is float for c in refined.coefficients())
 
 
 def test_refine_basin_guard():
     with pytest.raises(ValueError, match="basin"):
         refine_root(Biquaternion.from_scalar(1.0))
+    q = make_nontrivial_root(MU_I, NU_J, 1.0)
+    for bad in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="target must be finite and positive"):
+            refine_root(q, target=bad)
+        with pytest.raises(ValueError, match="basin must be finite and positive"):
+            refine_root(q, basin=bad)
 
 
 def test_refine_reports_nonconvergence():

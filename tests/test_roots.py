@@ -58,6 +58,11 @@ def test_make_root_rejects_nonperpendicular():
     with pytest.raises(PerpendicularityError) as excinfo:
         make_nontrivial_root(MU_I, PureUnit(s2, s2, 0), 1.0)
     assert excinfo.value.dot == pytest.approx(s2, abs=1e-15)
+    assert make_nontrivial_root(MU_I, NU_J, 1.0, perp_tol=0.0) == \
+        make_nontrivial_root(MU_I, NU_J, 1.0)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="perp_tol must be finite and nonnegative"):
+            make_nontrivial_root(MU_I, MU_I, 1.0, perp_tol=bad)
 
 
 def test_make_root_rejects_nonfinite_t():
@@ -205,6 +210,9 @@ def test_classify_imaginary_unit_both_signs():
 def test_classify_rejects_bad_tolerance():
     with pytest.raises(ValueError, match="tol"):
         classify_root(MINUS_ONE, tol=0.0)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            classify_root(MINUS_ONE, tol=bad)
 
 
 def test_classifier_round_trip():
