@@ -6,7 +6,12 @@ family cosh(t) mu + sinh(t) nu I with perpendicular unit pure directions,
 plus the degenerate roots q = mu and q = +/-I. The oracle module adds
 seeded sampling, an exhaustive coefficient-lattice census and Newton
 refinement as numerical evidence that no further families exist.
+
+The oracle module and its names are imported on first access, so
+``import biquat`` does not load numpy.
 """
+
+import importlib
 
 from .algebra import (
     COMPLEX_COMPONENTS,
@@ -23,20 +28,6 @@ from .algebra import (
     quat_mul,
     scalar_vector_split,
 )
-from .oracle import (
-    LatticeHit,
-    LatticeSpec,
-    NonConvergenceError,
-    SearchReport,
-    TermTable,
-    format_terms,
-    lattice_search,
-    refine_root,
-    sample_perpendicular,
-    sample_root,
-    sample_unit_pure,
-    term_table,
-)
 from .roots import (
     DecomposedForm,
     ImaginaryUnit,
@@ -47,6 +38,7 @@ from .roots import (
     RootClassification,
     TheoremViolationError,
     UnitPure,
+    classify_coefficients,
     classify_root,
     constraint_residuals,
     decompose,
@@ -55,6 +47,21 @@ from .roots import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset({
+    "LatticeHit", "LatticeSpec", "NonConvergenceError", "SearchReport", "TermTable",
+    "format_terms", "lattice_search", "refine_root", "sample_perpendicular",
+    "sample_root", "sample_unit_pure", "term_table",
+})
+
+
+def __getattr__(name: str):
+    # PEP 562: the oracle module, which needs numpy, loads on first use.
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Biquaternion",
@@ -80,6 +87,7 @@ __all__ = [
     "TheoremViolationError",
     "UnitPure",
     "biquat_mul",
+    "classify_coefficients",
     "classify_root",
     "constraint_residuals",
     "convert_view",

@@ -16,6 +16,7 @@ so they are safe to share between threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 # Absolute tolerances: one knob per concern, overridable per call.
@@ -107,11 +108,15 @@ class PureUnit:
     z: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
-        _check_finite("PureUnit", self.x, self.y, self.z)
-        n = math.hypot(self.x, self.y, self.z)
+        x, y, z = self.x, self.y, self.z
+        if not (type(x) is type(y) is type(z) is float):
+            x, y, z = float(x), float(y), float(z)
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "z", z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            _check_finite("PureUnit", x, y, z)
+        n = math.hypot(x, y, z)
         if abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"PureUnit requires unit norm, got {n!r}")
 
@@ -255,7 +260,8 @@ def mul_coefficients(p, q) -> tuple:
     """
     rr, ii = hamilton(p[:4], q[:4]), hamilton(p[4:], q[4:])
     ri, ir = hamilton(p[:4], q[4:]), hamilton(p[4:], q[:4])
-    return tuple(u - v for u, v in zip(rr, ii)) + tuple(u + v for u, v in zip(ri, ir))
+    return (rr[0] - ii[0], rr[1] - ii[1], rr[2] - ii[2], rr[3] - ii[3],
+            ri[0] + ir[0], ri[1] + ir[1], ri[2] + ir[2], ri[3] + ir[3])
 
 
 def biquat_mul(p: Biquaternion, q: Biquaternion) -> Biquaternion:
@@ -264,12 +270,13 @@ def biquat_mul(p: Biquaternion, q: Biquaternion) -> Biquaternion:
         *mul_coefficients(p.coefficients(), q.coefficients()))
 
 
-def square_residual(q: Biquaternion) -> float:
+def square_residual(q: Biquaternion | Sequence[float]) -> float:
     """Euclidean norm of the coefficients of ``q^2 + 1``; zero exactly on the roots.
 
-    A finite q whose square overflows gets ``inf``, not an error.
+    ``q`` is a Biquaternion or its 8 coefficients in canonical order. A
+    finite q whose square overflows gets ``inf``, not an error.
     """
-    c = q.coefficients()
+    c = q.coefficients() if isinstance(q, Biquaternion) else q
     sq = mul_coefficients(c, c)
     residual = math.hypot(sq[0] + 1.0, *sq[1:])
     return math.inf if math.isnan(residual) else residual

@@ -8,6 +8,9 @@ significant digits by default so that output re-parses losslessly.
 
 Exit codes: 0 success (or: is a root / hits found); 1 not-a-root or an
 empty census; 2 usage error; 3 an internal theorem-violation finding.
+
+numpy (through ``oracle``) is imported only by sample, table, lattice
+and verify-examples.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .algebra import (
     COMPLEX_COMPONENTS,
     Biquaternion,
@@ -26,14 +27,7 @@ from .algebra import (
     biquat_mul,
     check_tolerance,
     convert_view,
-    square_residual,
-)
-from .oracle import (
-    LatticeSpec,
-    format_terms,
-    lattice_search,
-    sample_root,
-    term_table,
+    mul_coefficients,
 )
 from .roots import (
     ImaginaryUnit,
@@ -41,7 +35,7 @@ from .roots import (
     NotRoot,
     TheoremViolationError,
     UnitPure,
-    classify_root,
+    classify_coefficients,
     make_nontrivial_root,
 )
 
@@ -65,8 +59,11 @@ def _parse_number(token: str, where: str) -> float:
     return value
 
 
-def parse_biquaternion(text: str) -> Biquaternion:
-    """Parse the 8-number text form or the {"qr": [...], "qi": [...]} form."""
+def parse_coefficients(text: str) -> list[float]:
+    """Parse the 8-number text form or the {"qr": [...], "qi": [...]} form.
+
+    Returns the 8 finite coefficients in canonical order.
+    """
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
@@ -86,13 +83,24 @@ def parse_biquaternion(text: str) -> Biquaternion:
                 if not math.isfinite(entry):
                     raise ParseError(f'"{key}"[{pos}]: {entry!r} is not finite')
                 coeffs.append(float(entry))
-        return Biquaternion.from_coefficients(*coeffs)
+        return coeffs
 
     tokens = stripped.split()
     if len(tokens) != 8:
         raise ParseError(f"expected 8 numbers, got {len(tokens)}")
-    values = [_parse_number(tok, f"token {pos + 1}") for pos, tok in enumerate(tokens)]
-    return Biquaternion.from_coefficients(*values)
+    try:
+        values = [float(tok) for tok in tokens]
+        if math.isfinite(sum(values)):    # a non-finite entry makes the sum non-finite
+            return values
+    except ValueError:
+        pass
+    # locate the bad token (or accept finite values whose sum overflowed)
+    return [_parse_number(tok, f"token {pos + 1}") for pos, tok in enumerate(tokens)]
+
+
+def parse_biquaternion(text: str) -> Biquaternion:
+    """Parse the 8-number text form or the {"qr": [...], "qi": [...]} form."""
+    return Biquaternion.from_coefficients(*parse_coefficients(text))
 
 
 def parse_pure_unit(text: str, name: str) -> PureUnit:
@@ -111,17 +119,17 @@ def _fmt(value: float, digits: int) -> str:
     return format(value, f".{digits}g")
 
 
+def _coefficients_template(digits: int) -> str:
+    # "%.<digits>g" formats a float exactly as format(v, ".<digits>g") does
+    return " ".join([f"%.{digits}g"] * 8)
+
+
 def format_coefficients(q: Biquaternion, digits: int = 17) -> str:
-    return " ".join(_fmt(v, digits) for v in q.coefficients())
+    return _coefficients_template(digits) % q.coefficients()
 
 
-def _coeff_lists(q: Biquaternion) -> dict:
-    c = q.coefficients()
+def _coeff_lists(c) -> dict:
     return {"qr": list(c[:4]), "qi": list(c[4:])}
-
-
-def _pure_tuple(u: PureUnit, digits: int) -> str:
-    return f"({_fmt(u.x, digits)} {_fmt(u.y, digits)} {_fmt(u.z, digits)})"
 
 
 def _inputs(args) -> list[str]:
@@ -130,109 +138,163 @@ def _inputs(args) -> list[str]:
     return [line for line in (raw.strip() for raw in sys.stdin) if line]
 
 
+class _ChunkedOutput:
+    """Output lines written to stdout a chunk at a time.
+
+    Leaving the ``with`` block writes the pending lines, also when it
+    raises, so a bad input line still follows every line before it.
+    """
+
+    CHUNK_LINES = 1000
+
+    def __init__(self):
+        self._lines = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.flush()
+
+    def add(self, line: str) -> None:
+        self._lines.append(line)
+        if len(self._lines) >= self.CHUNK_LINES:
+            self.flush()
+
+    def flush(self) -> None:
+        if self._lines:
+            self._lines.append("")
+            sys.stdout.write("\n".join(self._lines))
+            self._lines.clear()
+
+
 def _cmd_square(args) -> int:
-    for text in _inputs(args):
-        q = parse_biquaternion(text)
-        sq = biquat_mul(q, q)
-        if args.json:
-            print(json.dumps(_coeff_lists(sq)))
-        else:
-            print(format_coefficients(sq, args.digits))
+    template = _coefficients_template(args.digits)
+    with _ChunkedOutput() as out:
+        for text in _inputs(args):
+            c = parse_coefficients(text)
+            sq = mul_coefficients(c, c)
+            if not math.isfinite(sum(sq)):
+                Biquaternion.from_coefficients(*sq)   # raises if the square overflowed
+            out.add(json.dumps(_coeff_lists(sq)) if args.json else template % sq)
     return EXIT_OK
 
 
-def _classification_fields(result, digits: int) -> tuple[str, dict]:
+def _classification_record(result) -> dict:
+    """The JSON record of a classification, without its residual."""
     if isinstance(result, Nontrivial):
-        text = (f"nontrivial mu={_pure_tuple(result.mu, digits)} "
-                f"nu={_pure_tuple(result.nu, digits)} t={_fmt(result.t, digits)}")
-        data = {"family": "nontrivial",
+        return {"family": "nontrivial",
                 "mu": [result.mu.x, result.mu.y, result.mu.z],
                 "nu": [result.nu.x, result.nu.y, result.nu.z],
                 "t": result.t}
-    elif isinstance(result, UnitPure):
-        text = f"unit-pure mu={_pure_tuple(result.mu, digits)}"
-        data = {"family": "unit-pure",
-                "mu": [result.mu.x, result.mu.y, result.mu.z]}
-    elif isinstance(result, ImaginaryUnit):
-        text = f"imaginary-unit sign={result.sign:+d}"
-        data = {"family": "imaginary-unit", "sign": result.sign}
+    if isinstance(result, UnitPure):
+        return {"family": "unit-pure", "mu": [result.mu.x, result.mu.y, result.mu.z]}
+    if isinstance(result, ImaginaryUnit):
+        return {"family": "imaginary-unit", "sign": result.sign}
+    return {"family": "not-a-root"}
+
+
+def _classification_templates(digits: int) -> dict:
+    """One text template per family; each takes its fields, then the residual."""
+    g = f"%.{digits}g"
+    pure = f"({g} {g} {g})"
+    return {Nontrivial: f"nontrivial mu={pure} nu={pure} t={g} residual={g}",
+            UnitPure: f"unit-pure mu={pure} residual={g}",
+            ImaginaryUnit: f"imaginary-unit sign=%+d residual={g}",
+            NotRoot: f"not-a-root residual={g}"}
+
+
+def _classification_line(templates: dict, result, residual: float) -> str:
+    kind = type(result)
+    if kind is Nontrivial:
+        mu, nu = result.mu, result.nu
+        values = (mu.x, mu.y, mu.z, nu.x, nu.y, nu.z, result.t, residual)
+    elif kind is UnitPure:
+        mu = result.mu
+        values = (mu.x, mu.y, mu.z, residual)
+    elif kind is ImaginaryUnit:
+        values = (result.sign, residual)
     else:
-        text = "not-a-root"
-        data = {"family": "not-a-root"}
-    return text, data
+        values = (residual,)
+    return templates[kind] % values
 
 
 def _cmd_classify(args) -> int:
     check_tolerance("tol", args.tol)   # also when there are no input lines
+    templates = _classification_templates(args.digits)
     code = EXIT_OK
-    for text in _inputs(args):
-        q = parse_biquaternion(text)
-        try:
-            result = classify_root(q, args.tol)
-        except TheoremViolationError as exc:
+    with _ChunkedOutput() as out:
+        for text in _inputs(args):
+            try:
+                result, residual = classify_coefficients(parse_coefficients(text), args.tol)
+            except TheoremViolationError as exc:
+                if args.json:
+                    out.add(json.dumps({"family": "theorem-violation",
+                                        "residual": exc.residual,
+                                        "failures": list(exc.failures)}))
+                else:
+                    out.add(f"theorem-violation residual={_fmt(exc.residual, args.digits)} "
+                            f"({'; '.join(exc.failures)})")
+                code = max(code, EXIT_VIOLATION)
+                continue
             if args.json:
-                print(json.dumps({"family": "theorem-violation",
-                                  "residual": exc.residual,
-                                  "failures": list(exc.failures)}))
+                record = _classification_record(result)
+                record["residual"] = residual
+                out.add(json.dumps(record))
             else:
-                print(f"theorem-violation residual={_fmt(exc.residual, args.digits)} "
-                      f"({'; '.join(exc.failures)})")
-            code = max(code, EXIT_VIOLATION)
-            continue
-        residual = (result.residual if isinstance(result, NotRoot)
-                    else square_residual(q))
-        line, data = _classification_fields(result, args.digits)
-        if args.json:
-            data["residual"] = residual
-            print(json.dumps(data))
-        else:
-            print(f"{line} residual={_fmt(residual, args.digits)}")
-        if isinstance(result, NotRoot):
-            code = max(code, EXIT_NEGATIVE)
+                out.add(_classification_line(templates, result, residual))
+            if type(result) is NotRoot:
+                code = max(code, EXIT_NEGATIVE)
     return code
 
 
 def _cmd_make_root(args) -> int:
+    check_tolerance("tol", args.tol, allow_zero=True)
     mu = parse_pure_unit(args.mu, "mu")
     nu = parse_pure_unit(args.nu, "nu")
     root = make_nontrivial_root(mu, nu, args.t, perp_tol=args.tol)
     if args.json:
-        print(json.dumps(_coeff_lists(root)))
+        print(json.dumps(_coeff_lists(root.coefficients())))
     else:
         print(format_coefficients(root, args.digits))
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
+    import numpy as np
+
+    from .oracle import sample_root
+
     if args.count < 0:
         raise ParseError(f"--count must be nonnegative, got {args.count}")
     rng = np.random.default_rng(args.seed)
     for _ in range(args.count):
         root = sample_root(rng, args.t_max)
         if args.json:
-            print(json.dumps(_coeff_lists(root)))
+            print(json.dumps(_coeff_lists(root.coefficients())))
         else:
             print(format_coefficients(root, args.digits))
     return EXIT_OK
 
 
 def _cmd_convert(args) -> int:
-    for text in _inputs(args):
-        view = convert_view(parse_biquaternion(text), COMPLEX_COMPONENTS)
-        if args.json:
-            print(json.dumps({name: [comp.re, comp.im]
-                              for name, comp in
-                              (("w", view.w), ("x", view.x), ("y", view.y), ("z", view.z))}))
-        else:
-            d = args.digits
-            print(" ".join(
-                f"{name}={_fmt(comp.re, d)}{'-' if comp.im < 0 else '+'}{_fmt(abs(comp.im), d)}I"
-                for name, comp in
-                (("w", view.w), ("x", view.x), ("y", view.y), ("z", view.z))))
+    d = args.digits
+    with _ChunkedOutput() as out:
+        for text in _inputs(args):
+            view = convert_view(parse_biquaternion(text), COMPLEX_COMPONENTS)
+            parts = (("w", view.w), ("x", view.x), ("y", view.y), ("z", view.z))
+            if args.json:
+                out.add(json.dumps({name: [comp.re, comp.im] for name, comp in parts}))
+            else:
+                out.add(" ".join(
+                    f"{name}={_fmt(comp.re, d)}{'-' if comp.im < 0 else '+'}"
+                    f"{_fmt(abs(comp.im), d)}I" for name, comp in parts))
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
+    from .oracle import format_terms, term_table
+
     texts = _inputs(args)
     if not texts:
         raise ParseError("table needs at least one summand")
@@ -251,6 +313,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from .oracle import LatticeSpec, lattice_search
+
     spec = LatticeSpec(args.bound, args.step,
                        parse_pure_unit(args.mu, "mu"), parse_pure_unit(args.nu, "nu"))
     report = lattice_search(spec, args.tol)
@@ -260,7 +324,7 @@ def _cmd_lattice(args) -> int:
             "tolerance": report.tolerance,
             "hits": [{"a": h.a, "b": h.b, "c": h.c, "d": h.d,
                       "residual": h.residual,
-                      "family": _classification_fields(h.classification, args.digits)[1]["family"]}
+                      "family": _classification_record(h.classification)["family"]}
                      for h in report.hits],
             "violations": list(report.violations),
         }))
@@ -269,7 +333,7 @@ def _cmd_lattice(args) -> int:
               f"{_fmt(report.tolerance, args.digits)}: {len(report.hits)} hits, "
               f"{len(report.violations)} violations")
         for h in report.hits:
-            family = _classification_fields(h.classification, args.digits)[1]["family"]
+            family = _classification_record(h.classification)["family"]
             print(f"hit a={_fmt(h.a, args.digits)} b={_fmt(h.b, args.digits)} "
                   f"c={_fmt(h.c, args.digits)} d={_fmt(h.d, args.digits)} "
                   f"residual={_fmt(h.residual, args.digits)} family={family}")
@@ -330,6 +394,8 @@ def _square_through_wire(text: str) -> Biquaternion:
 
 def run_examples(tol: float = 1e-12) -> list[tuple[str, bool, float]]:
     """Run the three worked examples; returns (description, passed, max error)."""
+    from .oracle import term_table
+
     minus_one = Biquaternion.from_scalar(-1.0)
     results = []
 

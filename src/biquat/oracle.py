@@ -34,18 +34,16 @@ from .algebra import (
     DEFAULT_TOL,
     Biquaternion,
     PureUnit,
-    Quaternion,
     biquat_mul,
     check_tolerance,
     hamilton,
     mul_coefficients,
-    square_residual,
 )
 from .roots import (
     NotRoot,
     RootClassification,
     TheoremViolationError,
-    classify_root,
+    classify_coefficients,
     make_nontrivial_root,
 )
 
@@ -233,12 +231,10 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
         res = _square_residual_arrays(qr, qi)
         for idx in np.flatnonzero(res <= tol):
             point = (float(a), float(bb[idx]), float(cc[idx]), float(dd[idx]))
-            q = Biquaternion(
-                Quaternion(point[0], point[1] * mu.x, point[1] * mu.y, point[1] * mu.z),
-                Quaternion(point[2], point[3] * nu.x, point[3] * nu.y, point[3] * nu.z))
-            residual = square_residual(q)
+            coeffs = (point[0], point[1] * mu.x, point[1] * mu.y, point[1] * mu.z,
+                      point[2], point[3] * nu.x, point[3] * nu.y, point[3] * nu.z)
             try:
-                classification = classify_root(q, tol)
+                classification, residual = classify_coefficients(coeffs, tol)
             except TheoremViolationError as exc:
                 violations.append(f"point {point}: {exc}")
                 continue

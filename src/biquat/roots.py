@@ -17,6 +17,7 @@ biquaternions against the families.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import (
@@ -185,20 +186,21 @@ def make_nontrivial_root(mu: PureUnit, nu: PureUnit, t: float,
     return Biquaternion(_scaled_vector(b, mu), _scaled_vector(d, nu))
 
 
-def decompose(q: Biquaternion) -> DecomposedForm:
+def decompose(q: Biquaternion | Sequence[float]) -> DecomposedForm:
     """Split q into scalars a, c, moduli b, d >= 0 and unit directions.
 
+    ``q`` is a Biquaternion or its 8 coefficients in canonical order.
     Total on all inputs: at zero modulus the direction is undefined and
     recorded as None. A negative-direction vector part is canonicalized
     by flipping the direction, keeping the modulus nonnegative, so each
     biquaternion has exactly one decomposed form.
     """
-    qr, qi = q.qr, q.qi
-    b = math.hypot(qr.x, qr.y, qr.z)
-    d = math.hypot(qi.x, qi.y, qi.z)
-    mu = PureUnit(qr.x / b, qr.y / b, qr.z / b) if b > 0.0 else None
-    nu = PureUnit(qi.x / d, qi.y / d, qi.z / d) if d > 0.0 else None
-    return DecomposedForm(qr.w, b, mu, qi.w, d, nu)
+    wr, xr, yr, zr, wi, xi, yi, zi = q.coefficients() if isinstance(q, Biquaternion) else q
+    b = math.hypot(xr, yr, zr)
+    d = math.hypot(xi, yi, zi)
+    mu = PureUnit(xr / b, yr / b, zr / b) if b > 0.0 else None
+    nu = PureUnit(xi / d, yi / d, zi / d) if d > 0.0 else None
+    return DecomposedForm(wr, b, mu, wi, d, nu)
 
 
 def constraint_residuals(q: Biquaternion) -> Residuals:
@@ -255,16 +257,26 @@ def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassificati
     within tol. The diagnostic fires there too: certification stays loud
     instead of absorbing a direction it cannot confirm.
     """
-    check_tolerance("tol", tol)
-    residual = square_residual(q)
-    if residual > tol:
-        return NotRoot(residual)
+    return classify_coefficients(q.coefficients(), tol)[0]
 
-    form = decompose(q)
+
+def classify_coefficients(c: Sequence[float],
+                          tol: float = DEFAULT_TOL) -> tuple[RootClassification, float]:
+    """``classify_root`` on 8 coefficients in canonical order, with its residual.
+
+    Returns ``(classification, square_residual(c))``, each computed once;
+    a Biquaternion is built only to report a TheoremViolationError.
+    """
+    check_tolerance("tol", tol)
+    residual = square_residual(c)
+    if residual > tol:
+        return NotRoot(residual), residual
+
+    form = decompose(c)
     if form.b <= tol and form.d <= tol:
-        return ImaginaryUnit(1 if form.c >= 0.0 else -1)
+        return ImaginaryUnit(1 if form.c >= 0.0 else -1), residual
     if form.d <= tol and abs(form.c) <= tol:
-        return UnitPure(form.mu)
+        return UnitPure(form.mu), residual
 
     failures = []
     if abs(form.a) > tol:
@@ -279,8 +291,8 @@ def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassificati
     elif abs(form.mu.dot(form.nu)) > tol:
         failures.append(f"|dot(mu, nu)| = {abs(form.mu.dot(form.nu))!r} > tol")
     if failures:
-        raise TheoremViolationError(q, residual, failures)
-    return Nontrivial(form.mu, form.nu, math.asinh(form.d))
+        raise TheoremViolationError(Biquaternion.from_coefficients(*c), residual, failures)
+    return Nontrivial(form.mu, form.nu, math.asinh(form.d)), residual
 
 
 def recover_parameter(classification: Nontrivial) -> tuple[float, float, float]:

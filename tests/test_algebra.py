@@ -302,6 +302,18 @@ def test_quaternion_stores_plain_floats():
         Quaternion(0, 1, 2, np.float64("nan"))
 
 
+def test_pure_unit_stores_plain_floats():
+    for u in (PureUnit(1, 0, 0), PureUnit(*np.array([0.0, 0.6, 0.8])),
+              PureUnit(0.6, np.float64(0.8), 0.0), PureUnit(0.0, 0.6, -0.8)):
+        assert all(type(v) is float for v in (u.x, u.y, u.z))
+    with pytest.raises(ValueError, match="PureUnit coefficients must be finite, got inf"):
+        PureUnit(0.0, float("inf"), 0.0)
+    with pytest.raises(ValueError, match="PureUnit coefficients must be finite, got nan"):
+        PureUnit(1, 0, np.float64("nan"))
+    with pytest.raises(ValueError, match="unit norm"):
+        PureUnit(0.6, 0.6, 0.0)
+
+
 def test_check_tolerance():
     check_tolerance("tol", 1e-9)
     check_tolerance("tol", 1)

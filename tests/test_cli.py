@@ -1,18 +1,32 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biquat.algebra import Biquaternion
+import biquat
+from biquat import cli
+from biquat.algebra import Biquaternion, biquat_mul, square_residual
 from biquat.cli import (
     ParseError,
     format_coefficients,
     main,
     parse_biquaternion,
 )
-from biquat.roots import Nontrivial, classify_root
+from biquat.oracle import sample_perpendicular, sample_unit_pure
+from biquat.roots import (
+    ImaginaryUnit,
+    Nontrivial,
+    UnitPure,
+    classify_root,
+    make_nontrivial_root,
+)
 
 SQRT2_ROOT = "0 1.4142135623730951 0 0 0 0 1 0"
 
@@ -255,3 +269,138 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
 def test_digits_flag(capsys):
     assert main(["square", SQRT2_ROOT, "--digits", "3"]) == 0
     assert capsys.readouterr().out == "-1 0 0 0 0 0 0 0\n"
+
+
+def test_commands_without_oracle_do_not_load_numpy():
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import biquat, biquat.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert biquat.cli.main(["classify", "0 1.4142135623730951 0 0 0 0 1 0"]) == 0
+            assert biquat.cli.main(["square", "1 2 3 4 5 6 7 8"]) == 0
+            assert biquat.cli.main(["convert", "1 2 3 4 5 6 7 8"]) == 0
+            assert biquat.cli.main(["make-root", "--mu", "1 0 0", "--nu", "0 1 0",
+                                    "--t", "1"]) == 0
+        assert "numpy" not in sys.modules, "numpy was loaded"
+        missing = [name for name in biquat.__all__ if getattr(biquat, name, None) is None]
+        assert not missing, missing
+        from biquat import lattice_search, refine_root
+        assert lattice_search is biquat.oracle.lattice_search
+        assert refine_root is biquat.oracle.refine_root
+        print("ok")
+    """)
+    src = str(Path(biquat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
+OVERFLOW_LINE = "1e200 0 0 0 0 0 0 0"
+
+
+def _seeded_stream():
+    """Seeded (text, Biquaternion) pairs, shuffled: every family, both signs
+    of I and non-roots; the first line is in the JSON form."""
+    rng = np.random.default_rng(4242)
+    qs = []
+    for _ in range(150):
+        mu = sample_unit_pure(rng)
+        qs.append(make_nontrivial_root(mu, sample_perpendicular(mu, rng),
+                                       5.0 * (1.0 - rng.random())))
+    for _ in range(40):
+        u = sample_unit_pure(rng)
+        qs.append(Biquaternion.from_coefficients(0.0, u.x, u.y, u.z, 0.0, 0.0, 0.0, 0.0))
+    for sign in (1.0, -1.0) * 10:
+        qs.append(Biquaternion.from_coefficients(0.0, 0.0, 0.0, 0.0, sign, 0.0, 0.0, 0.0))
+    for _ in range(90):
+        qs.append(Biquaternion.from_coefficients(*rng.uniform(-10.0, 10.0, 8)))
+    order = rng.permutation(len(qs))
+    pairs = [(" ".join(repr(v) for v in qs[k].coefficients()), qs[k]) for k in order]
+    c = pairs[0][1].coefficients()
+    pairs[0] = (json.dumps({"qr": list(c[:4]), "qi": list(c[4:])}), pairs[0][1])
+    return pairs
+
+
+def _expected_classify(q, digits, as_json):
+    def g(v):
+        return format(v, f".{digits}g")
+
+    result, residual = classify_root(q), square_residual(q)
+    if isinstance(result, Nontrivial):
+        mu, nu = result.mu, result.nu
+        record = {"family": "nontrivial", "mu": [mu.x, mu.y, mu.z],
+                  "nu": [nu.x, nu.y, nu.z], "t": result.t}
+        text = (f"nontrivial mu=({g(mu.x)} {g(mu.y)} {g(mu.z)}) "
+                f"nu=({g(nu.x)} {g(nu.y)} {g(nu.z)}) t={g(result.t)}")
+    elif isinstance(result, UnitPure):
+        mu = result.mu
+        record = {"family": "unit-pure", "mu": [mu.x, mu.y, mu.z]}
+        text = f"unit-pure mu=({g(mu.x)} {g(mu.y)} {g(mu.z)})"
+    elif isinstance(result, ImaginaryUnit):
+        record = {"family": "imaginary-unit", "sign": result.sign}
+        text = f"imaginary-unit sign={result.sign:+d}"
+    else:
+        record = {"family": "not-a-root"}
+        text = "not-a-root"
+    if as_json:
+        return json.dumps({**record, "residual": residual})
+    return f"{text} residual={g(residual)}"
+
+
+def _expected_square(q, digits, as_json):
+    c = biquat_mul(q, q).coefficients()
+    if as_json:
+        return json.dumps({"qr": list(c[:4]), "qi": list(c[4:])})
+    return " ".join(format(v, f".{digits}g") for v in c)
+
+
+def _run(monkeypatch, capsys, argv, lines):
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("digits", [17, 5])
+def test_stream_output_matches_library(monkeypatch, capsys, digits, as_json, chunk):
+    if chunk is not None:    # exercise the chunk boundaries too
+        monkeypatch.setattr(cli._ChunkedOutput, "CHUNK_LINES", chunk)
+    pairs = _seeded_stream()
+    flags = ["--digits", str(digits)] + (["--json"] if as_json else [])
+
+    texts = [text for text, _ in pairs] + [OVERFLOW_LINE]
+    qs = [q for _, q in pairs] + [Biquaternion.from_coefficients(1e200, 0, 0, 0, 0, 0, 0, 0)]
+    code, out, err = _run(monkeypatch, capsys, ["classify", *flags], texts)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [_expected_classify(q, digits, as_json) for q in qs]
+    assert out.splitlines()[-1].startswith('{"family": "not-a-root", "residual": Infinity'
+                                           if as_json else "not-a-root residual=inf")
+
+    code, out, err = _run(monkeypatch, capsys, ["square", *flags], texts[:-1])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [_expected_square(q, digits, as_json) for q in qs[:-1]]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_lines_before_a_bad_line_are_printed(monkeypatch, capsys, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(cli._ChunkedOutput, "CHUNK_LINES", chunk)
+    pairs = _seeded_stream()[:40]
+    texts = [text for text, _ in pairs]
+    for bad, where in ((25, "1 2 3"), (10, "1 2 spam 4 5 6 7 8"), (0, "1 nan 3 4 5 6 7 8")):
+        lines = texts[:bad] + [where] + texts[bad:]
+        code, out, err = _run(monkeypatch, capsys, ["classify"], lines)
+        assert code == 2
+        assert out.splitlines() == [_expected_classify(q, 17, False) for _, q in pairs[:bad]]
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    # a finite line whose square overflows stops `square` the same way
+    code, out, err = _run(monkeypatch, capsys, ["square"], texts[:30] + [OVERFLOW_LINE] + texts)
+    assert code == 2
+    assert out.splitlines() == [_expected_square(q, 17, False) for _, q in pairs[:30]]
+    assert err == "error: Quaternion coefficients must be finite, got inf\n"

@@ -5,6 +5,7 @@ import pytest
 
 from biquat.algebra import Biquaternion, PureUnit, Quaternion, biquat_mul
 from biquat import roots
+from biquat.cli import main as cli_main
 from biquat.oracle import sample_perpendicular, sample_unit_pure
 from biquat.roots import (
     ImaginaryUnit,
@@ -53,7 +54,7 @@ def test_make_root_t_zero_is_exactly_mu():
     assert q.coefficients() == (0.0, mu.x, mu.y, mu.z, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_make_root_rejects_nonperpendicular():
+def test_make_root_rejects_nonperpendicular(capsys):
     s2 = 1 / math.sqrt(2)
     with pytest.raises(PerpendicularityError) as excinfo:
         make_nontrivial_root(MU_I, PureUnit(s2, s2, 0), 1.0)
@@ -63,6 +64,13 @@ def test_make_root_rejects_nonperpendicular():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="perp_tol must be finite and nonnegative"):
             make_nontrivial_root(MU_I, MU_I, 1.0, perp_tol=bad)
+    # the command line names its own --tol flag, not the library keyword
+    for bad in ("nan", "-1"):
+        assert cli_main(["make-root", "--mu", "1 0 0", "--nu", "0 1 0",
+                         "--t", "1", "--tol", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be finite and nonnegative, got {float(bad)!r}\n"
 
 
 def test_make_root_rejects_nonfinite_t():
@@ -198,6 +206,25 @@ def test_classify_decomposes_only_roots_and_only_once(monkeypatch):
     assert calls == []
     classify_root(make_nontrivial_root(MU_I, NU_J, 1.0))
     assert len(calls) == 1
+
+
+def test_classify_coefficients_returns_verdict_and_residual():
+    rng = np.random.default_rng(15)
+    mu = sample_unit_pure(rng)
+    qs = [make_nontrivial_root(mu, sample_perpendicular(mu, rng), 1.5),
+          Biquaternion.from_coefficients(0, mu.x, mu.y, mu.z, 0, 0, 0, 0),
+          Biquaternion.from_coefficients(0, 0, 0, 0, -1, 0, 0, 0),
+          rand_biquat(rng)]
+    for q in qs:
+        c = q.coefficients()
+        assert decompose(c) == decompose(q)
+        assert roots.classify_coefficients(c) == (classify_root(q), roots.square_residual(q))
+    # the violation carries the biquaternion it was found at
+    b, d = math.cosh(0.3), math.sinh(0.3)
+    c = (0, b, 0, 0, 0, d * 0.3, d * math.sqrt(1 - 0.09), 0)
+    with pytest.raises(TheoremViolationError) as excinfo:
+        roots.classify_coefficients(c, tol=0.25)
+    assert excinfo.value.q == Biquaternion.from_coefficients(*c)
 
 
 def test_classify_imaginary_unit_both_signs():
