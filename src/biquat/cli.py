@@ -174,8 +174,8 @@ def _cmd_square(args) -> int:
         for text in _inputs(args):
             c = parse_coefficients(text)
             sq = mul_coefficients(c, c)
-            if not math.isfinite(sum(sq)):
-                Biquaternion.from_coefficients(*sq)   # raises if the square overflowed
+            if not math.isfinite(sum(sq)) and not all(map(math.isfinite, sq)):
+                raise ValueError("the square of this input overflows a double")
             out.add(json.dumps(_coeff_lists(sq)) if args.json else template % sq)
     return EXIT_OK
 
@@ -434,12 +434,22 @@ def _cmd_verify_examples(args) -> int:
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_NEGATIVE
 
 
+def _digits(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(sub, *, tol=False, digits=True):
     if tol:
         sub.add_argument("--tol", type=float, default=1e-9,
                          help="absolute tolerance (default 1e-9)")
     if digits:
-        sub.add_argument("--digits", type=int, default=17,
+        sub.add_argument("--digits", type=_digits, default=17,
                          help="significant digits in output (default 17)")
     sub.add_argument("--json", action="store_true",
                      help="structured output mirroring the text output")

@@ -18,13 +18,15 @@ All sampling is reproducible: a run is fully determined by the seed and
 parameters. Batch sampling split across workers should derive one child
 generator per task from the master seed with ``Generator.spawn``, which
 is itself deterministic. The lattice scan accumulates hits in lattice
-index order (a outermost, then b, c, d), so chunked or parallel
-execution merges to the identical report as a serial one provided chunks
-are concatenated in index order.
+index order (a outermost, then b, c, d), one (c, d) plane per (a, b);
+the plane is the natural chunk, so chunked or parallel execution merges
+to the identical report as a serial one provided chunks are
+concatenated in index order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,26 +182,29 @@ class SearchReport:
     violations: tuple[str, ...]
 
 
-def _square_residual_arrays(qr, qi):
-    """Euclidean norm of q^2 + 1 for arrays of coefficients.
+def _square_residual_arrays(qr, qi, ii):
+    """Euclidean norm of q^2 + 1 for q = qr + qi*I, given ii = qi*qi.
 
     The array form of ``algebra.square_residual``, used only as the scan
     kernel; hits are re-verified with the scalar path before reporting.
-    It keeps the four ``hamilton`` products alive through the sum; freeing
-    them first (as ``mul_coefficients`` does) re-faults fresh pages on
-    every slice and cost 10-20% of scan throughput. Points whose square
-    overflows come out inf or nan, quietly; neither passes ``res <= tol``.
+    ``qr`` may be four floats and ``qi``, ``ii`` four arrays: the scan
+    squares the real part on floats and reuses one ``ii`` for every plane.
+    The operation order is that of ``mul_coefficients``, so each residual
+    equals the one computed from full-size coefficient arrays. Points whose
+    square overflows come out inf or nan, quietly; neither passes
+    ``res <= tol``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rr, ii = hamilton(qr, qr), hamilton(qi, qi)
+        rr = hamilton(qr, qr)
         ri, ir = hamilton(qr, qi), hamilton(qi, qr)
         re = [u - v for u, v in zip(rr, ii)]
         im = [u + v for u, v in zip(ri, ir)]
-        re[0] = re[0] + 1.0
+        re[0] += 1.0
         total = re[0] * re[0]
         for comp in re[1:] + im:
-            total = total + comp * comp
-        return np.sqrt(total)
+            comp *= comp
+            total += comp
+        return np.sqrt(total, out=total)
 
 
 def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
@@ -211,6 +216,12 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
     with their classification. A hit that fails to classify into a root
     family is a reportable finding, recorded in ``violations`` rather
     than raised. ``tol`` must be finite and positive.
+
+    The scan holds one (c, d) plane of imaginary parts ``c + d*nu`` and
+    its square, built once; for each (a, b), a outermost, the real part
+    ``a + b*mu`` is four floats, and only its two cross products with the
+    plane run on arrays. Hits therefore come in lattice index order (a,
+    then b, c, d), and the working set is one plane, whatever the grid.
     """
     check_tolerance("tol", tol)
     total_points = spec.point_count()
@@ -220,19 +231,20 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
 
     axis = spec.axis()
     mu, nu = spec.mu, spec.nu
-    bb, cc, dd = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
-    xi, yi, zi = dd * nu.x, dd * nu.y, dd * nu.z
+    cc, dd = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    qi = (cc, dd * nu.x, dd * nu.y, dd * nu.z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ii = hamilton(qi, qi)
 
     hits: list[LatticeHit] = []
     violations: list[str] = []
-    for a in axis:
-        qr = (np.full_like(bb, a), bb * mu.x, bb * mu.y, bb * mu.z)
-        qi = (cc, xi, yi, zi)
-        res = _square_residual_arrays(qr, qi)
+    values = axis.tolist()
+    for a, b in itertools.product(values, repeat=2):
+        qr = (a, b * mu.x, b * mu.y, b * mu.z)
+        res = _square_residual_arrays(qr, qi, ii)
         for idx in np.flatnonzero(res <= tol):
-            point = (float(a), float(bb[idx]), float(cc[idx]), float(dd[idx]))
-            coeffs = (point[0], point[1] * mu.x, point[1] * mu.y, point[1] * mu.z,
-                      point[2], point[3] * nu.x, point[3] * nu.y, point[3] * nu.z)
+            point = (a, b, float(cc[idx]), float(dd[idx]))
+            coeffs = (*qr, point[2], point[3] * nu.x, point[3] * nu.y, point[3] * nu.z)
             try:
                 classification, residual = classify_coefficients(coeffs, tol)
             except TheoremViolationError as exc:

@@ -269,6 +269,31 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
 def test_digits_flag(capsys):
     assert main(["square", SQRT2_ROOT, "--digits", "3"]) == 0
     assert capsys.readouterr().out == "-1 0 0 0 0 0 0 0\n"
+    assert main(["square", SQRT2_ROOT, "--digits", "0"]) == 0
+    assert capsys.readouterr().out == "-1 0 0 0 0 0 0 0\n"
+
+
+def test_negative_digits_is_a_usage_error(monkeypatch, capsys):
+    pair = ["--mu", "1 0 0", "--nu", "0 1 0"]
+    for argv in (["square"], ["square", SQRT2_ROOT], ["classify"], ["classify", SQRT2_ROOT],
+                 ["convert"], ["table"], ["make-root", *pair, "--t", "1"], ["sample"],
+                 ["lattice", *pair], ["verify-examples"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--digits", "-1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --digits: must be nonnegative, got -1\n")
+
+
+def test_square_overflow_is_reported(capsys):
+    assert main(["square", OVERFLOW_LINE]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the square of this input overflows a double\n"
+    # finite entries whose sum overflows are still a finite square
+    assert main(["square", "1.3e154 2e153 0 0 0 0 0 0"]) == 0
 
 
 def test_commands_without_oracle_do_not_load_numpy():
@@ -403,4 +428,4 @@ def test_lines_before_a_bad_line_are_printed(monkeypatch, capsys, chunk):
     code, out, err = _run(monkeypatch, capsys, ["square"], texts[:30] + [OVERFLOW_LINE] + texts)
     assert code == 2
     assert out.splitlines() == [_expected_square(q, 17, False) for _, q in pairs[:30]]
-    assert err == "error: Quaternion coefficients must be finite, got inf\n"
+    assert err == "error: the square of this input overflows a double\n"

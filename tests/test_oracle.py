@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -5,8 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from biquat.algebra import Biquaternion, PureUnit, biquat_mul, mul_coefficients
+from biquat.algebra import (
+    Biquaternion,
+    PureUnit,
+    biquat_mul,
+    hamilton,
+    mul_coefficients,
+    square_residual,
+)
 from biquat.oracle import (
+    LatticeHit,
     LatticeSpec,
     NonConvergenceError,
     TermTable,
@@ -21,7 +30,14 @@ from biquat.oracle import (
     sample_unit_pure,
     term_table,
 )
-from biquat.roots import ImaginaryUnit, Nontrivial, UnitPure, classify_root, make_nontrivial_root
+from biquat.roots import (
+    ImaginaryUnit,
+    Nontrivial,
+    UnitPure,
+    classify_coefficients,
+    classify_root,
+    make_nontrivial_root,
+)
 
 MU_I = PureUnit(1, 0, 0)
 NU_J = PureUnit(0, 1, 0)
@@ -167,11 +183,51 @@ def test_lattice_cap_checked_without_building_the_grid():
     assert peak < 100_000
 
 
+def test_lattice_scan_working_set_is_one_plane():
+    spec = LatticeSpec(2.0, 0.125, MU_I, NU_J)   # 33^4 points, 33^3 per value of a
+    tracemalloc.start()
+    try:
+        report = lattice_search(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.scanned == 33 ** 4 and len(report.hits) == 8
+    assert peak < 1_000_000
+
+
+def _brute_force_hits(spec, tol):
+    """Point by point, in a-b-c-d order, through the scalar residual."""
+    mu, nu = spec.mu, spec.nu
+    hits = []
+    for a, b, c, d in itertools.product(spec.axis().tolist(), repeat=4):
+        coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
+        if square_residual(coeffs) <= tol:
+            classification, residual = classify_coefficients(coeffs, tol)
+            hits.append(LatticeHit(a, b, c, d, residual, classification))
+    return tuple(hits)
+
+
+def test_lattice_search_matches_brute_force():
+    rng = np.random.default_rng(108)
+    mu = sample_unit_pure(rng)
+    # a perpendicular and a skew pair off the axes (b = +/-1 and c = +/-1
+    # are the hits), and the 81-point grid whose nonzero squares overflow
+    cases = ((LatticeSpec(1.0, 0.25, mu, sample_perpendicular(mu, rng)), 4),
+             (LatticeSpec(1.0, 0.25, mu, sample_unit_pure(rng)), 4),
+             (LatticeSpec(1e200, 1e200, MU_I, NU_J), 0))
+    for spec, hit_count in cases:
+        report = lattice_search(spec, 1e-9)
+        assert report.hits == _brute_force_hits(spec, 1e-9)
+        assert len(report.hits) == hit_count and report.violations == ()
+        assert report.scanned == len(spec.axis()) ** 4
+
+
 def test_scan_kernel_matches_scalar_route():
     rng = np.random.default_rng(107)
     coeffs = rng.uniform(-5, 5, (500, 8))
-    vec = _square_residual_arrays(tuple(coeffs[:, i] for i in range(4)),
-                                  tuple(coeffs[:, i] for i in range(4, 8)))
+    qi = tuple(coeffs[:, i] for i in range(4, 8))
+    vec = _square_residual_arrays(tuple(coeffs[:, i] for i in range(4)), qi,
+                                  hamilton(qi, qi))
     for row, expected in zip(coeffs, vec):
         q = Biquaternion.from_coefficients(*row)
         scalar = (biquat_mul(q, q) + 1.0).coefficient_norm()
