@@ -13,6 +13,10 @@ probes it numerically, desk-scale, from three directions:
 
 The census scan and the Newton step square through ``algebra.hamilton``,
 the one copy of the product formula, on coefficient arrays and vectors.
+The scan takes the products of one (c, d) plane once and scores every
+(a, b) from them by bilinearity alone, with none of the closed forms of
+``roots``; its residuals differ from the scalar route by roundoff, so
+each point near the tolerance is decided by ``classify_coefficients``.
 
 All sampling is reproducible: a run is fully determined by the seed and
 parameters. Batch sampling split across workers should derive one child
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,29 +187,57 @@ class SearchReport:
     violations: tuple[str, ...]
 
 
-def _square_residual_arrays(qr, qi, ii):
-    """Euclidean norm of q^2 + 1 for q = qr + qi*I, given ii = qi*qi.
+def _plane_terms(mu: PureUnit, qi) -> np.ndarray:
+    """The three (4, P) coefficient arrays of a scan plane, stacked.
 
-    The array form of ``algebra.square_residual``, used only as the scan
-    kernel; hits are re-verified with the scalar path before reporting.
-    ``qr`` may be four floats and ``qi``, ``ii`` four arrays: the scan
-    squares the real part on floats and reuses one ``ii`` for every plane.
-    The operation order is that of ``mul_coefficients``, so each residual
-    equals the one computed from full-size coefficient arrays. Points whose
-    square overflows come out inf or nan, quietly; neither passes
-    ``res <= tol``.
+    For q = qr + qi*I with qr = a + b*m and m = (0, mu), the product is
+    bilinear, so q^2 + 1 = (qr*qr + 1 - qi*qi) + (a*(2*qi) + b*(m*qi + qi*m))*I.
+    The terms are ``1 - qi*qi`` (1 on row 0 only), ``2*qi`` and
+    ``m*qi + qi*m``, each from ``algebra.hamilton`` on the stored floats.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rr = hamilton(qr, qr)
-        ri, ir = hamilton(qr, qi), hamilton(qi, qr)
-        re = [u - v for u, v in zip(rr, ii)]
-        im = [u + v for u, v in zip(ri, ir)]
-        re[0] += 1.0
-        total = re[0] * re[0]
-        for comp in re[1:] + im:
-            comp *= comp
-            total += comp
-        return np.sqrt(total, out=total)
+    m = (0.0, mu.x, mu.y, mu.z)
+    terms = np.empty((3, 4, qi[0].size))
+    np.negative(hamilton(qi, qi), out=terms[0])
+    terms[0, 0] += 1.0
+    np.multiply(qi, 2.0, out=terms[1])
+    np.add(hamilton(m, qi), hamilton(qi, m), out=terms[2])
+    return terms
+
+
+def _square_residual_arrays(a: float, b: float, mu: PureUnit, terms: np.ndarray,
+                            buf: np.ndarray) -> np.ndarray:
+    """Euclidean norm of q^2 + 1 over a plane, at the real part a + b*mu.
+
+    The scan kernel: ``terms`` comes from ``_plane_terms`` and ``buf`` is
+    an (8, P) scratch array that receives the coefficients of q^2 + 1.
+    Only ``qr*qr`` is a product here, on four floats; the rest combines the
+    plane's terms by bilinearity alone. The operation order is not that of
+    ``mul_coefficients``, so each residual differs from the scalar
+    ``algebra.square_residual`` by roundoff, within 20 eps (|q|^2 + 1).
+    Points whose square overflows come out inf or nan (callers silence the
+    warnings).
+    """
+    qr = (a, b * mu.x, b * mu.y, b * mu.z)
+    np.add(np.array(hamilton(qr, qr))[:, None], terms[0], out=buf[:4])
+    np.multiply(terms[1], a, out=buf[4:])
+    buf[4:] += b * terms[2]
+    res = np.einsum("ij,ij->j", buf, buf)
+    return np.sqrt(res, out=res)
+
+
+def _scan_residuals(spec: LatticeSpec):
+    """Yield ``(a, b, residuals)`` for every (a, b), a outermost.
+
+    ``residuals`` is a fresh array over the (c, d) plane, c outermost, from
+    ``_square_residual_arrays``; the plane's terms are built once per scan.
+    """
+    axis = spec.axis()
+    nu = spec.nu
+    cc, dd = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    terms = _plane_terms(spec.mu, (cc, dd * nu.x, dd * nu.y, dd * nu.z))
+    buf = np.empty((8, cc.size))
+    for a, b in itertools.product(axis.tolist(), repeat=2):
+        yield a, b, _square_residual_arrays(a, b, spec.mu, terms, buf)
 
 
 def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
@@ -217,11 +250,14 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
     family is a reportable finding, recorded in ``violations`` rather
     than raised. ``tol`` must be finite and positive.
 
-    The scan holds one (c, d) plane of imaginary parts ``c + d*nu`` and
-    its square, built once; for each (a, b), a outermost, the real part
-    ``a + b*mu`` is four floats, and only its two cross products with the
-    plane run on arrays. Hits therefore come in lattice index order (a,
-    then b, c, d), and the working set is one plane, whatever the grid.
+    The scan builds the products of one (c, d) plane with itself and with
+    mu once, then scores each (a, b), a outermost, by combining them
+    bilinearly with the real part ``a + b*mu`` (see ``_plane_terms``); it
+    uses no closed form of ``roots``. Its residuals differ from the scalar
+    route by roundoff, so every point within a roundoff margin of ``tol``
+    is re-checked by ``classify_coefficients``, whose residual alone
+    decides a hit. Hits come in lattice index order (a, then b, c, d),
+    and the working set is one plane, whatever the grid.
     """
     check_tolerance("tol", tol)
     total_points = spec.point_count()
@@ -229,33 +265,29 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
         raise ValueError(
             f"grid of {total_points} points exceeds the {max_points} cap")
 
-    axis = spec.axis()
+    # On the grid |q|^2 <= 4 bound^2, and the kernel residual is within
+    # 20 eps (|q|^2 + 1) of the scalar one; so every point within the margin
+    # below is re-checked by the scalar route, which alone decides a hit.
+    # The cap keeps residuals that overflowed to inf out.
+    margin = 64.0 * sys.float_info.epsilon * (4.0 * spec.bound * spec.bound + 1.0)
+    cut = min(tol + margin, sys.float_info.max)
     mu, nu = spec.mu, spec.nu
-    cc, dd = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-    qi = (cc, dd * nu.x, dd * nu.y, dd * nu.z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ii = hamilton(qi, qi)
-
+    values = spec.axis().tolist()
+    n = len(values)
     hits: list[LatticeHit] = []
     violations: list[str] = []
-    values = axis.tolist()
-    for a, b in itertools.product(values, repeat=2):
-        qr = (a, b * mu.x, b * mu.y, b * mu.z)
-        res = _square_residual_arrays(qr, qi, ii)
-        for idx in np.flatnonzero(res <= tol):
-            point = (a, b, float(cc[idx]), float(dd[idx]))
-            coeffs = (*qr, point[2], point[3] * nu.x, point[3] * nu.y, point[3] * nu.z)
-            try:
-                classification, residual = classify_coefficients(coeffs, tol)
-            except TheoremViolationError as exc:
-                violations.append(f"point {point}: {exc}")
-                continue
-            if isinstance(classification, NotRoot):
-                violations.append(
-                    f"point {point}: scan hit reclassified as not-a-root "
-                    f"(residual {classification.residual!r})")
-                continue
-            hits.append(LatticeHit(*point, residual, classification))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, res in _scan_residuals(spec):
+            for idx in (res <= cut).nonzero()[0].tolist():
+                c, d = values[idx // n], values[idx % n]
+                coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
+                try:
+                    classification, residual = classify_coefficients(coeffs, tol)
+                except TheoremViolationError as exc:
+                    violations.append(f"point {(a, b, c, d)}: {exc}")
+                    continue
+                if not isinstance(classification, NotRoot):
+                    hits.append(LatticeHit(a, b, c, d, residual, classification))
 
     return SearchReport(tuple(hits), total_points, tol, tuple(violations))
 

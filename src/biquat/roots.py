@@ -154,11 +154,10 @@ def _part(scalar: float, modulus: float, direction: PureUnit | None) -> Quaterni
                       modulus * direction.y, modulus * direction.z)
 
 
-def _scaled_vector(factor: float, direction: PureUnit | None) -> Quaternion:
+def _scaled(factor: float, direction: PureUnit | None) -> tuple[float, float, float]:
     if direction is None or factor == 0.0:
-        return Quaternion(0.0, 0.0, 0.0, 0.0)
-    return Quaternion(0.0, factor * direction.x, factor * direction.y,
-                      factor * direction.z)
+        return 0.0, 0.0, 0.0
+    return factor * direction.x, factor * direction.y, factor * direction.z
 
 
 def make_nontrivial_root(mu: PureUnit, nu: PureUnit, t: float,
@@ -183,7 +182,8 @@ def make_nontrivial_root(mu: PureUnit, nu: PureUnit, t: float,
         b, d = math.cosh(t), math.sinh(t)
     except OverflowError:
         raise ValueError(f"cosh(t) overflows a double at t = {t!r}") from None
-    return Biquaternion(_scaled_vector(b, mu), _scaled_vector(d, nu))
+    return Biquaternion(Quaternion(0.0, *_scaled(b, mu)),
+                        Quaternion(0.0, *_scaled(d, nu)))
 
 
 def decompose(q: Biquaternion | Sequence[float]) -> DecomposedForm:
@@ -218,19 +218,23 @@ def constraint_residuals(q: Biquaternion) -> Residuals:
     cancel). The ``aggregate`` field is computed independently from the
     generic product, not from these closed forms.
     """
-    form = decompose(q)
+    coeffs = q.coefficients()
+    form = decompose(coeffs)
     a, b, c, d = form.a, form.b, form.c, form.d
     mu, nu = form.mu, form.nu
 
     real_scalar = a * a - b * b - c * c + d * d + 1.0
-    real_vector = _scaled_vector(2.0 * a * b, mu) - _scaled_vector(2.0 * c * d, nu)
+    abx, aby, abz = _scaled(2.0 * a * b, mu)
+    cdx, cdy, cdz = _scaled(2.0 * c * d, nu)
     imag_scalar = 2.0 * a * c
     if mu is not None and nu is not None:
         imag_scalar -= 2.0 * b * d * mu.dot(nu)
-    imag_vector = _scaled_vector(2.0 * a * d, nu) + _scaled_vector(2.0 * b * c, mu)
+    adx, ady, adz = _scaled(2.0 * a * d, nu)
+    bcx, bcy, bcz = _scaled(2.0 * b * c, mu)
 
-    aggregate = square_residual(q)
-    return Residuals(real_scalar, real_vector, imag_scalar, imag_vector, aggregate)
+    return Residuals(real_scalar, Quaternion(0.0, abx - cdx, aby - cdy, abz - cdz),
+                     imag_scalar, Quaternion(0.0, adx + bcx, ady + bcy, adz + bcz),
+                     square_residual(coeffs))
 
 
 def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassification:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -10,7 +11,6 @@ from biquat.algebra import (
     Biquaternion,
     PureUnit,
     biquat_mul,
-    hamilton,
     mul_coefficients,
     square_residual,
 )
@@ -20,6 +20,8 @@ from biquat.oracle import (
     NonConvergenceError,
     TermTable,
     _jacobian,
+    _plane_terms,
+    _scan_residuals,
     _square_residual_arrays,
     _squared_plus_one,
     format_terms,
@@ -39,6 +41,7 @@ from biquat.roots import (
     make_nontrivial_root,
 )
 
+EPS = sys.float_info.epsilon
 MU_I = PureUnit(1, 0, 0)
 NU_J = PureUnit(0, 1, 0)
 
@@ -223,15 +226,64 @@ def test_lattice_search_matches_brute_force():
 
 
 def test_scan_kernel_matches_scalar_route():
+    # one plane of 500 random (c, d); entry k is scored at row k's (a, b)
     rng = np.random.default_rng(107)
-    coeffs = rng.uniform(-5, 5, (500, 8))
-    qi = tuple(coeffs[:, i] for i in range(4, 8))
-    vec = _square_residual_arrays(tuple(coeffs[:, i] for i in range(4)), qi,
-                                  hamilton(qi, qi))
-    for row, expected in zip(coeffs, vec):
-        q = Biquaternion.from_coefficients(*row)
+    mu, nu = sample_unit_pure(rng), sample_unit_pure(rng)
+    coeffs = rng.uniform(-5, 5, (500, 4))
+    cc, dd = coeffs[:, 2], coeffs[:, 3]
+    terms = _plane_terms(mu, (cc, dd * nu.x, dd * nu.y, dd * nu.z))
+    buf = np.empty((8, len(coeffs)))
+    for k, (a, b, c, d) in enumerate(coeffs.tolist()):
+        expected = _square_residual_arrays(a, b, mu, terms, buf)[k]
+        q = Biquaternion.from_coefficients(a, b * mu.x, b * mu.y, b * mu.z,
+                                           c, d * nu.x, d * nu.y, d * nu.z)
         scalar = (biquat_mul(q, q) + 1.0).coefficient_norm()
         assert abs(scalar - expected) <= 1e-12 * max(1.0, scalar)
+        # the bound behind lattice_search's re-check margin
+        assert abs(scalar - expected) <= 20 * EPS * (a * a + b * b + c * c + d * d + 1.0)
+
+
+def test_lattice_ties_are_decided_by_the_scalar_route():
+    # the kernel rounds the residual of (0, 1.125, 0, 0.875), exactly 0.5,
+    # one ulp below the scalar route, and that of (0.125, -1, 0, 0) one ulp
+    # above; a tol between the two roundings must not change the report
+    rng = np.random.default_rng(1)
+    mu = sample_unit_pure(rng)
+    nu = sample_perpendicular(mu, rng)
+    spec = LatticeSpec(1.125, 0.125, mu, nu)
+    for a, b, c, d in ((0.0, 1.125, 0.0, 0.875), (0.125, -1.0, 0.0, 0.0)):
+        residual = square_residual((a, b * mu.x, b * mu.y, b * mu.z,
+                                    c, d * nu.x, d * nu.y, d * nu.z))
+        for tol in (residual, math.nextafter(residual, 0.0)):
+            report = lattice_search(spec, tol)
+            assert report.violations == ()
+            assert ((a, b, c, d) in {(h.a, h.b, h.c, h.d) for h in report.hits}) \
+                == (residual <= tol)
+
+
+@pytest.mark.parametrize("bound, step, nu", [
+    (2.0, 0.25, NU_J),                                          # criterion 7
+    (2.0, 0.25, PureUnit(1 / math.sqrt(2), 1 / math.sqrt(2), 0)),
+    (2.0, 0.125, NU_J),                                         # benchmark pairs
+    (2.0, 0.125, PureUnit(math.sqrt(2) / 2, math.sqrt(2) / 2, 0)),
+])
+def test_scan_hits_are_separated_from_misses(bound, step, nu):
+    # the kernel reorders the arithmetic, so its residuals differ from the
+    # scalar route by roundoff; that is safe while hits and misses are far
+    # apart on both sides of tol
+    spec = LatticeSpec(bound, step, MU_I, nu)
+    report = lattice_search(spec, 1e-9)
+    assert report.violations == ()
+    index = {v: i for i, v in enumerate(spec.axis().tolist())}
+    n = len(index)
+    hits = {(index[h.a] * n + index[h.b]) * n * n + index[h.c] * n + index[h.d]
+            for h in report.hits}
+    residuals = np.concatenate([res for _, _, res in _scan_residuals(spec)])
+    assert residuals.size == report.scanned
+    missed = np.ones(residuals.size, dtype=bool)
+    missed[list(hits)] = False
+    assert (residuals[~missed] <= 1e-9).all()
+    assert residuals[missed].min() >= 1e-2
 
 
 def test_lattice_overflowing_grid_is_quiet():

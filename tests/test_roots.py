@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -159,6 +160,57 @@ def test_residuals_of_zero_divisor():
     assert res.imag_scalar == 0.0
     assert res.imag_vector.norm() == 0.0
     assert res.aggregate == 1.0
+
+
+def _residuals_from_quaternions(q):
+    """constraint_residuals as six Quaternion builds, for the test below."""
+    form = decompose(q)
+    a, b, c, d, mu, nu = form.a, form.b, form.c, form.d, form.mu, form.nu
+
+    def scaled(factor, direction):
+        if direction is None or factor == 0.0:
+            return Quaternion(0.0, 0.0, 0.0, 0.0)
+        return Quaternion(0.0, factor * direction.x, factor * direction.y,
+                          factor * direction.z)
+
+    imag_scalar = 2.0 * a * c
+    if mu is not None and nu is not None:
+        imag_scalar -= 2.0 * b * d * mu.dot(nu)
+    return (a * a - b * b - c * c + d * d + 1.0,
+            scaled(2.0 * a * b, mu) - scaled(2.0 * c * d, nu),
+            imag_scalar,
+            scaled(2.0 * a * d, nu) + scaled(2.0 * b * c, mu),
+            roots.square_residual(q))
+
+
+def _hex_fields(real_scalar, real_vector, imag_scalar, imag_vector, aggregate):
+    rv, iv = real_vector, imag_vector
+    return [x.hex() for x in (real_scalar, rv.w, rv.x, rv.y, rv.z, imag_scalar,
+                              iv.w, iv.x, iv.y, iv.z, aggregate)]
+
+
+def test_constraint_residuals_bit_identical_to_quaternion_route():
+    rng = np.random.default_rng(13)
+    rows = [rng.uniform(-10, 10, 8).tolist() for _ in range(500)]
+    # every subset of a, b, c, d set to zero of either sign; b = d = 0
+    # leaves both directions None
+    groups = ((0,), (1, 2, 3), (4,), (5, 6, 7))
+    for zero in (0.0, -0.0):
+        for chosen in itertools.product((False, True), repeat=4):
+            indices = {k for group, on in zip(groups, chosen) if on for k in group}
+            for row in rows[:20]:
+                rows.append([zero if k in indices else v for k, v in enumerate(row)])
+    for row in rows:
+        q = Biquaternion.from_coefficients(*row)
+        got = constraint_residuals(q)
+        assert (_hex_fields(got.real_scalar, got.real_vector, got.imag_scalar,
+                            got.imag_vector, got.aggregate)
+                == _hex_fields(*_residuals_from_quaternions(q)))
+    # a closed form that overflows is an error on both routes
+    q = Biquaternion.from_coefficients(1e200, 1e200, 0, 0, 0, 0, 0, 0)
+    for route in (constraint_residuals, _residuals_from_quaternions):
+        with pytest.raises(ValueError, match="must be finite"):
+            route(q)
 
 
 def test_residual_closed_forms_match_generic_product():
