@@ -48,16 +48,10 @@ from .roots import (
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = frozenset({
-    "LatticeHit", "LatticeSpec", "NonConvergenceError", "SearchReport", "TermTable",
-    "format_terms", "lattice_search", "refine_root", "sample_perpendicular",
-    "sample_root", "sample_unit_pure", "term_table",
-})
-
-
 def __getattr__(name: str):
     # PEP 562: the oracle module, which needs numpy, loads on first use.
-    if name == "oracle" or name in _ORACLE_NAMES:
+    # Only unbound names reach here; those of __all__ are the oracle's.
+    if name == "oracle" or name in __all__:
         oracle = importlib.import_module(".oracle", __name__)
         return oracle if name == "oracle" else getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,6 +28,9 @@ PURE_TOL = 1e-12     # zero-scalar-part validation in dot_cross
 QUATERNION_PARTS = "quaternion-parts"
 COMPLEX_COMPONENTS = "complex-components"
 
+# The basis unit of each coefficient, in coefficient order.
+UNIT_SYMBOLS = ("1", "i", "j", "k", "I", "iI", "jI", "kI")
+
 
 def _check_finite(kind: str, *values: float) -> None:
     for v in values:

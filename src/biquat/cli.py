@@ -7,7 +7,8 @@ separated numbers in canonical coefficient order, or as a JSON object
 significant digits by default so that output re-parses losslessly.
 
 Exit codes: 0 success (or: is a root / hits found); 1 not-a-root or an
-empty census; 2 usage error; 3 an internal theorem-violation finding.
+empty census; 2 usage error; 3 an internal theorem-violation finding;
+141 (128 + SIGPIPE) stdout was closed early, as ``| head`` does.
 
 numpy (through ``oracle``) is imported only by sample, table, lattice
 and verify-examples.
@@ -18,10 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .algebra import (
     COMPLEX_COMPONENTS,
+    UNIT_SYMBOLS,
     Biquaternion,
     PureUnit,
     biquat_mul,
@@ -43,6 +46,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
+EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE
 
 
 class ParseError(ValueError):
@@ -132,51 +136,21 @@ def _coeff_lists(c) -> dict:
     return {"qr": list(c[:4]), "qi": list(c[4:])}
 
 
-def _inputs(args) -> list[str]:
+def _inputs(args):
     if args.biquaternion:
-        return list(args.biquaternion)
-    return [line for line in (raw.strip() for raw in sys.stdin) if line]
-
-
-class _ChunkedOutput:
-    """Output lines written to stdout a chunk at a time.
-
-    Leaving the ``with`` block writes the pending lines, also when it
-    raises, so a bad input line still follows every line before it.
-    """
-
-    CHUNK_LINES = 1000
-
-    def __init__(self):
-        self._lines = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.flush()
-
-    def add(self, line: str) -> None:
-        self._lines.append(line)
-        if len(self._lines) >= self.CHUNK_LINES:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._lines:
-            self._lines.append("")
-            sys.stdout.write("\n".join(self._lines))
-            self._lines.clear()
+        return args.biquaternion
+    return (line for line in map(str.strip, sys.stdin) if line)
 
 
 def _cmd_square(args) -> int:
     template = _coefficients_template(args.digits)
-    with _ChunkedOutput() as out:
-        for text in _inputs(args):
-            c = parse_coefficients(text)
-            sq = mul_coefficients(c, c)
-            if not math.isfinite(sum(sq)) and not all(map(math.isfinite, sq)):
-                raise ValueError("the square of this input overflows a double")
-            out.add(json.dumps(_coeff_lists(sq)) if args.json else template % sq)
+    write = sys.stdout.write
+    for text in _inputs(args):
+        c = parse_coefficients(text)
+        sq = mul_coefficients(c, c)
+        if not math.isfinite(sum(sq)) and not all(map(math.isfinite, sq)):
+            raise ValueError("the square of this input overflows a double")
+        write((json.dumps(_coeff_lists(sq)) if args.json else template % sq) + "\n")
     return EXIT_OK
 
 
@@ -222,29 +196,29 @@ def _classification_line(templates: dict, result, residual: float) -> str:
 def _cmd_classify(args) -> int:
     check_tolerance("tol", args.tol)   # also when there are no input lines
     templates = _classification_templates(args.digits)
+    write = sys.stdout.write
     code = EXIT_OK
-    with _ChunkedOutput() as out:
-        for text in _inputs(args):
-            try:
-                result, residual = classify_coefficients(parse_coefficients(text), args.tol)
-            except TheoremViolationError as exc:
-                if args.json:
-                    out.add(json.dumps({"family": "theorem-violation",
-                                        "residual": exc.residual,
-                                        "failures": list(exc.failures)}))
-                else:
-                    out.add(f"theorem-violation residual={_fmt(exc.residual, args.digits)} "
-                            f"({'; '.join(exc.failures)})")
-                code = max(code, EXIT_VIOLATION)
-                continue
+    for text in _inputs(args):
+        try:
+            result, residual = classify_coefficients(parse_coefficients(text), args.tol)
+        except TheoremViolationError as exc:
             if args.json:
-                record = _classification_record(result)
-                record["residual"] = residual
-                out.add(json.dumps(record))
+                write(json.dumps({"family": "theorem-violation",
+                                  "residual": exc.residual,
+                                  "failures": list(exc.failures)}) + "\n")
             else:
-                out.add(_classification_line(templates, result, residual))
-            if type(result) is NotRoot:
-                code = max(code, EXIT_NEGATIVE)
+                write(f"theorem-violation residual={_fmt(exc.residual, args.digits)} "
+                      f"({'; '.join(exc.failures)})\n")
+            code = max(code, EXIT_VIOLATION)
+            continue
+        if args.json:
+            record = _classification_record(result)
+            record["residual"] = residual
+            write(json.dumps(record) + "\n")
+        else:
+            write(_classification_line(templates, result, residual) + "\n")
+        if type(result) is NotRoot:
+            code = max(code, EXIT_NEGATIVE)
     return code
 
 
@@ -279,23 +253,23 @@ def _cmd_sample(args) -> int:
 
 def _cmd_convert(args) -> int:
     d = args.digits
-    with _ChunkedOutput() as out:
-        for text in _inputs(args):
-            view = convert_view(parse_biquaternion(text), COMPLEX_COMPONENTS)
-            parts = (("w", view.w), ("x", view.x), ("y", view.y), ("z", view.z))
-            if args.json:
-                out.add(json.dumps({name: [comp.re, comp.im] for name, comp in parts}))
-            else:
-                out.add(" ".join(
-                    f"{name}={_fmt(comp.re, d)}{'-' if comp.im < 0 else '+'}"
-                    f"{_fmt(abs(comp.im), d)}I" for name, comp in parts))
+    write = sys.stdout.write
+    for text in _inputs(args):
+        view = convert_view(parse_biquaternion(text), COMPLEX_COMPONENTS)
+        parts = (("w", view.w), ("x", view.x), ("y", view.y), ("z", view.z))
+        if args.json:
+            write(json.dumps({name: [comp.re, comp.im] for name, comp in parts}) + "\n")
+        else:
+            write(" ".join(
+                f"{name}={_fmt(comp.re, d)}{'-' if comp.im < 0 else '+'}"
+                f"{_fmt(abs(comp.im), d)}I" for name, comp in parts) + "\n")
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
     from .oracle import format_terms, term_table
 
-    texts = _inputs(args)
+    texts = list(_inputs(args))
     if not texts:
         raise ParseError("table needs at least one summand")
     parts = [parse_biquaternion(t) for t in texts]
@@ -344,41 +318,30 @@ def _cmd_lattice(args) -> int:
     return EXIT_OK if report.hits else EXIT_NEGATIVE
 
 
-# The three worked examples, end to end through parse -> compute -> format.
-# Coefficient strings are exact double literals of the constructions
-# sqrt(2)i + jI, (i+j+k) + (j-k)I, and 3*(j-k)/sqrt(2) + 2*sqrt(2)*(i+j+k)/sqrt(3)*I.
-_EXAMPLE1_INPUT = "0 1.4142135623730951 0 0 0 0 1 0"
-_EXAMPLE2_INPUT = "0 1 1 1 0 0 1 -1"
-_EXAMPLE2_PARTS = (
-    "0 1 0 0 0 0 0 0",    # i
-    "0 0 1 0 0 0 0 0",    # j
-    "0 0 0 1 0 0 0 0",    # k
-    "0 0 0 0 0 0 1 0",    # jI
-    "0 0 0 0 0 0 0 -1",   # -kI
-)
-_EXAMPLE2_TABLE = (
+# Worked examples: sqrt(2)i + jI; (i+j+k) + (j-k)I as unit summands with their
+# product table; 3 nu + 2 sqrt(2) mu I (nu = (j-k)/sqrt(2), mu = (i+j+k)/sqrt(3)).
+EXAMPLE1_INPUT = "0 1.4142135623730951 0 0 0 0 1 0"
+EXAMPLE2_SUMMANDS = ("i", "j", "k", "jI", "-kI")
+EXAMPLE2_TABLE = (
     ("-1", "k", "-j", "kI", "jI"),
     ("-k", "-1", "i", "-I", "-iI"),
     ("j", "-i", "-1", "-iI", "I"),
     ("-kI", "-I", "iI", "1", "i"),
     ("-jI", "iI", "I", "-i", "1"),
 )
-_EXAMPLE3_PARTS = (
+EXAMPLE3_SUMMANDS = (
     "0 0 2.1213203435596424 -2.1213203435596424 0 0 0 0",
     "0 0 0 0 0 1.6329931618554523 1.6329931618554523 1.6329931618554523",
 )
-_EXAMPLE3_INPUT = ("0 0 2.1213203435596424 -2.1213203435596424 "
-                   "0 1.6329931618554523 1.6329931618554523 1.6329931618554523")
-
-_UNIT_INDEX = {"1": 0, "i": 1, "j": 2, "k": 3, "I": 4, "iI": 5, "jI": 6, "kI": 7}
 
 
-def _unit_biquaternion(symbol: str) -> Biquaternion:
+def unit_biquaternion(symbol: str) -> Biquaternion:
+    """The basis unit a symbol of ``UNIT_SYMBOLS`` names, negated by a leading "-"."""
     sign = 1.0
     if symbol.startswith("-"):
         sign, symbol = -1.0, symbol[1:]
     coeffs = [0.0] * 8
-    coeffs[_UNIT_INDEX[symbol]] = sign
+    coeffs[UNIT_SYMBOLS.index(symbol)] = sign
     return Biquaternion.from_coefficients(*coeffs)
 
 
@@ -386,9 +349,9 @@ def _max_error(got: Biquaternion, expected: Biquaternion) -> float:
     return max(abs(g - e) for g, e in zip(got.coefficients(), expected.coefficients()))
 
 
-def _square_through_wire(text: str) -> Biquaternion:
-    # parse -> square -> format -> re-parse; 17 digits keeps the wire lossless
-    q = parse_biquaternion(text)
+def _square_through_wire(parts: list[Biquaternion]) -> Biquaternion:
+    # sum -> format -> parse -> square -> format -> re-parse; 17 digits are lossless
+    q = parse_biquaternion(format_coefficients(sum(parts[1:], parts[0])))
     return parse_biquaternion(format_coefficients(biquat_mul(q, q), 17))
 
 
@@ -399,20 +362,22 @@ def run_examples(tol: float = 1e-12) -> list[tuple[str, bool, float]]:
     minus_one = Biquaternion.from_scalar(-1.0)
     results = []
 
-    err = _max_error(_square_through_wire(_EXAMPLE1_INPUT), minus_one)
+    err = _max_error(_square_through_wire([parse_biquaternion(EXAMPLE1_INPUT)]), minus_one)
     results.append(("square of sqrt(2)i + jI is -1", err <= tol, err))
 
-    err = _max_error(_square_through_wire(_EXAMPLE2_INPUT), minus_one)
-    table = term_table([parse_biquaternion(t) for t in _EXAMPLE2_PARTS])
-    for row, expected_row in zip(table.entries, _EXAMPLE2_TABLE):
+    parts = [unit_biquaternion(s) for s in EXAMPLE2_SUMMANDS]
+    err = _max_error(_square_through_wire(parts), minus_one)
+    table = term_table(parts)
+    for row, expected_row in zip(table.entries, EXAMPLE2_TABLE):
         for entry, symbol in zip(row, expected_row):
-            err = max(err, _max_error(entry, _unit_biquaternion(symbol)))
+            err = max(err, _max_error(entry, unit_biquaternion(symbol)))
     err = max(err, _max_error(table.total, minus_one))
     results.append(("square of (i+j+k) + (j-k)I is -1 and its 5x5 term table "
                     "matches entry for entry with total -1", err <= tol, err))
 
-    err = _max_error(_square_through_wire(_EXAMPLE3_INPUT), minus_one)
-    table = term_table([parse_biquaternion(t) for t in _EXAMPLE3_PARTS])
+    parts = [parse_biquaternion(t) for t in EXAMPLE3_SUMMANDS]
+    err = _max_error(_square_through_wire(parts), minus_one)
+    table = term_table(parts)
     err = max(err, _max_error(table.entries[0][0], Biquaternion.from_scalar(-9.0)))
     err = max(err, _max_error(table.entries[1][1], Biquaternion.from_scalar(8.0)))
     err = max(err, _max_error(table.total, minus_one))
@@ -523,8 +488,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Python writes a piped stdout 8 KiB at a time, which slowed `classify`
+    # and `square` 10-15% end to end against 64 KiB (a pipe's capacity)
+    if sys.stdout is sys.__stdout__ and not sys.stdout.isatty():
+        sys.stdout = open(sys.stdout.fileno(), "w", 1 << 16, sys.stdout.encoding,
+                          sys.stdout.errors, closefd=False)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout to devnull keeps the flush at exit quiet (Python's SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

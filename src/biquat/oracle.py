@@ -39,6 +39,7 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    UNIT_SYMBOLS,
     Biquaternion,
     PureUnit,
     biquat_mul,
@@ -240,8 +241,7 @@ def _scan_residuals(spec: LatticeSpec):
         yield a, b, _square_residual_arrays(a, b, spec.mu, terms, buf)
 
 
-def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
-                   max_points: int = _MAX_LATTICE_POINTS) -> SearchReport:
+def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     """Scan every lattice point, square it, and census the hits.
 
     Each point (a, b, c, d) becomes q = (a + b*mu) + (c + d*nu)*I; q is
@@ -261,9 +261,9 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL,
     """
     check_tolerance("tol", tol)
     total_points = spec.point_count()
-    if total_points > max_points:
+    if total_points > _MAX_LATTICE_POINTS:
         raise ValueError(
-            f"grid of {total_points} points exceeds the {max_points} cap")
+            f"grid of {total_points} points exceeds the {_MAX_LATTICE_POINTS} cap")
 
     # On the grid |q|^2 <= 4 bound^2, and the kernel residual is within
     # 20 eps (|q|^2 + 1) of the scalar one; so every point within the margin
@@ -399,7 +399,7 @@ def term_table(parts: list[Biquaternion] | tuple[Biquaternion, ...]) -> TermTabl
     return TermTable(parts, entries)
 
 
-_UNIT_LABELS = ("", "i", "j", "k", "I", "iI", "jI", "kI")
+_UNIT_LABELS = ("",) + UNIT_SYMBOLS[1:]   # a scalar term carries no label
 
 
 def format_terms(q: Biquaternion, digits: int = 17) -> str:

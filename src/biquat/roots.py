@@ -81,8 +81,8 @@ class DecomposedForm:
 
     def reconstruct(self) -> Biquaternion:
         """Rebuild the biquaternion this form was decomposed from."""
-        return Biquaternion(_part(self.a, self.b, self.mu),
-                            _part(self.c, self.d, self.nu))
+        return Biquaternion(Quaternion(self.a, *_scaled(self.b, self.mu)),
+                            Quaternion(self.c, *_scaled(self.d, self.nu)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,13 +145,6 @@ class Residuals:
             Quaternion(self.real_scalar, rv.x, rv.y, rv.z),
             Quaternion(self.imag_scalar, iv.x, iv.y, iv.z),
         )
-
-
-def _part(scalar: float, modulus: float, direction: PureUnit | None) -> Quaternion:
-    if direction is None:
-        return Quaternion(scalar, 0.0, 0.0, 0.0)
-    return Quaternion(scalar, modulus * direction.x,
-                      modulus * direction.y, modulus * direction.z)
 
 
 def _scaled(factor: float, direction: PureUnit | None) -> tuple[float, float, float]:

@@ -13,6 +13,14 @@ import time
 import numpy as np
 
 from biquat.algebra import Biquaternion, PureUnit, Quaternion, biquat_mul, dot_cross, quat_mul
+from biquat.cli import (
+    EXAMPLE1_INPUT,
+    EXAMPLE2_SUMMANDS,
+    EXAMPLE2_TABLE,
+    EXAMPLE3_SUMMANDS,
+    parse_biquaternion,
+    unit_biquaternion,
+)
 from biquat.oracle import (
     LatticeSpec,
     lattice_search,
@@ -34,18 +42,6 @@ from biquat.roots import (
 
 MINUS_ONE = Biquaternion.from_scalar(-1.0)
 
-_UNIT_INDEX = {"1": 0, "i": 1, "j": 2, "k": 3, "I": 4, "iI": 5, "jI": 6, "kI": 7}
-
-
-def _unit(symbol):
-    sign = 1.0
-    if symbol.startswith("-"):
-        sign, symbol = -1.0, symbol[1:]
-    coeffs = [0.0] * 8
-    coeffs[_UNIT_INDEX[symbol]] = sign
-    return Biquaternion.from_coefficients(*coeffs)
-
-
 def _max_coeff_error(got, expected):
     return max(abs(g - e) for g, e in zip(got.coefficients(), expected.coefficients()))
 
@@ -58,26 +54,20 @@ def _report(number, description, ok, elapsed=None):
 
 
 def test_criterion_1_example_sqrt2():
-    q = Biquaternion.from_coefficients(0, 1.4142135623730951, 0, 0, 0, 0, 1, 0)
+    q = parse_biquaternion(EXAMPLE1_INPUT)
     err = _max_coeff_error(biquat_mul(q, q), MINUS_ONE)
     _report(1, f"sqrt(2)i + jI squares to -1 (max error {err:.2e})", err <= 1e-12)
 
 
 def test_criterion_2_example_table():
-    q = Biquaternion.from_coefficients(0, 1, 1, 1, 0, 0, 1, -1)
+    parts = [unit_biquaternion(s) for s in EXAMPLE2_SUMMANDS]
+    q = sum(parts[1:], parts[0])
     err = _max_coeff_error(biquat_mul(q, q), MINUS_ONE)
 
-    expected = (
-        ("-1", "k", "-j", "kI", "jI"),
-        ("-k", "-1", "i", "-I", "-iI"),
-        ("j", "-i", "-1", "-iI", "I"),
-        ("-kI", "-I", "iI", "1", "i"),
-        ("-jI", "iI", "I", "-i", "1"),
-    )
-    table = term_table([_unit(s) for s in ("i", "j", "k", "jI", "-kI")])
+    table = term_table(parts)
     table_err = max(
-        _max_coeff_error(entry, _unit(symbol))
-        for row, expected_row in zip(table.entries, expected)
+        _max_coeff_error(entry, unit_biquaternion(symbol))
+        for row, expected_row in zip(table.entries, EXAMPLE2_TABLE)
         for entry, symbol in zip(row, expected_row))
     total_err = _max_coeff_error(table.total, MINUS_ONE)
     ok = err <= 1e-12 and table_err == 0.0 and total_err <= 1e-12
@@ -86,12 +76,7 @@ def test_criterion_2_example_table():
 
 
 def test_criterion_3_example_diagonal_blocks():
-    parts = [
-        Biquaternion.from_coefficients(0, 0, 2.1213203435596424,
-                                       -2.1213203435596424, 0, 0, 0, 0),
-        Biquaternion.from_coefficients(0, 0, 0, 0, 0, 1.6329931618554523,
-                                       1.6329931618554523, 1.6329931618554523),
-    ]
+    parts = [parse_biquaternion(t) for t in EXAMPLE3_SUMMANDS]
     q = parts[0] + parts[1]
     err = _max_coeff_error(biquat_mul(q, q), MINUS_ONE)
     table = term_table(parts)

@@ -5,13 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biquat
-from biquat import cli
 from biquat.algebra import Biquaternion, biquat_mul, square_residual
 from biquat.cli import (
     ParseError,
@@ -314,13 +314,17 @@ def test_commands_without_oracle_do_not_load_numpy():
         assert refine_root is biquat.oracle.refine_root
         print("ok")
     """)
-    src = str(Path(biquat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
-        src, os.environ.get("PYTHONPATH")))))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env, timeout=60)
+                            text=True, env=_child_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def _child_env():
+    """The environment for a child Python that imports this checkout's biquat."""
+    src = str(Path(biquat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH")))))
 
 
 OVERFLOW_LINE = "1e200 0 0 0 0 0 0 0"
@@ -389,12 +393,9 @@ def _run(monkeypatch, capsys, argv, lines):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("digits", [17, 5])
-def test_stream_output_matches_library(monkeypatch, capsys, digits, as_json, chunk):
-    if chunk is not None:    # exercise the chunk boundaries too
-        monkeypatch.setattr(cli._ChunkedOutput, "CHUNK_LINES", chunk)
+def test_stream_output_matches_library(monkeypatch, capsys, digits, as_json):
     pairs = _seeded_stream()
     flags = ["--digits", str(digits)] + (["--json"] if as_json else [])
 
@@ -411,10 +412,7 @@ def test_stream_output_matches_library(monkeypatch, capsys, digits, as_json, chu
     assert out.splitlines() == [_expected_square(q, digits, as_json) for q in qs[:-1]]
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_lines_before_a_bad_line_are_printed(monkeypatch, capsys, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(cli._ChunkedOutput, "CHUNK_LINES", chunk)
+def test_lines_before_a_bad_line_are_printed(monkeypatch, capsys):
     pairs = _seeded_stream()[:40]
     texts = [text for text, _ in pairs]
     for bad, where in ((25, "1 2 3"), (10, "1 2 spam 4 5 6 7 8"), (0, "1 nan 3 4 5 6 7 8")):
@@ -429,3 +427,42 @@ def test_lines_before_a_bad_line_are_printed(monkeypatch, capsys, chunk):
     assert code == 2
     assert out.splitlines() == [_expected_square(q, 17, False) for _, q in pairs[:30]]
     assert err == "error: the square of this input overflows a double\n"
+
+
+def _stream_text(lines):
+    texts = [text for text, _ in _seeded_stream()]
+    return "".join(f"{texts[n % len(texts)]}\n" for n in range(lines))
+
+
+def test_stdin_commands_work_in_constant_memory(monkeypatch):
+    # 20k lines read and written one at a time: the input and the output
+    # (each over 1 MB of text) are never held whole
+    text = _stream_text(20_000)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr("sys.stdout", devnull)
+        for command, expected_code in (("classify", 1), ("square", 0)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            tracemalloc.start()
+            try:
+                code = main([command])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == expected_code
+            assert peak < 1_000_000, (command, peak)
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["square"], ["sample", "--count", "100000"]],
+                         ids=["classify", "square", "sample"])
+def test_closed_output_pipe_exits_quietly(tmp_path, argv):
+    stdin_path = tmp_path / "stream.txt"
+    stdin_path.write_text(_stream_text(20_000))
+    with stdin_path.open() as stdin:
+        proc = subprocess.Popen([sys.executable, "-m", "biquat", *argv], stdin=stdin,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_child_env())
+        assert proc.stdout.readline()
+        proc.stdout.close()    # the reader goes away, as `| head -1` does
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")

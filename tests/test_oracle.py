@@ -14,6 +14,7 @@ from biquat.algebra import (
     mul_coefficients,
     square_residual,
 )
+from biquat.cli import EXAMPLE2_SUMMANDS, EXAMPLE2_TABLE, unit_biquaternion
 from biquat.oracle import (
     LatticeHit,
     LatticeSpec,
@@ -157,7 +158,7 @@ def test_lattice_small_bound_has_no_roots():
 
 def test_lattice_guards():
     with pytest.raises(ValueError, match="cap"):
-        lattice_search(LatticeSpec(2.0, 0.25, MU_I, NU_J), max_points=1000)
+        lattice_search(LatticeSpec(50.0, 0.5, MU_I, NU_J))   # 201^4 points
     with pytest.raises(ValueError, match="integer"):
         LatticeSpec(1.0, 0.3, MU_I, NU_J)
     with pytest.raises(ValueError, match="positive"):
@@ -349,29 +350,12 @@ def test_refine_reports_nonconvergence():
     assert isinstance(excinfo.value.best, Biquaternion)
 
 
-def _unit(symbol):
-    labels = {"1": 0, "i": 1, "j": 2, "k": 3, "I": 4, "iI": 5, "jI": 6, "kI": 7}
-    sign = 1.0
-    if symbol.startswith("-"):
-        sign, symbol = -1.0, symbol[1:]
-    coeffs = [0.0] * 8
-    coeffs[labels[symbol]] = sign
-    return Biquaternion.from_coefficients(*coeffs)
-
-
 def test_term_table_five_by_five():
-    parts = [_unit(s) for s in ("i", "j", "k", "jI", "-kI")]
-    expected = (
-        ("-1", "k", "-j", "kI", "jI"),
-        ("-k", "-1", "i", "-I", "-iI"),
-        ("j", "-i", "-1", "-iI", "I"),
-        ("-kI", "-I", "iI", "1", "i"),
-        ("-jI", "iI", "I", "-i", "1"),
-    )
+    parts = [unit_biquaternion(s) for s in EXAMPLE2_SUMMANDS]
     table = term_table(parts)
-    for row, expected_row in zip(table.entries, expected):
+    for row, expected_row in zip(table.entries, EXAMPLE2_TABLE):
         for entry, symbol in zip(row, expected_row):
-            assert entry == _unit(symbol)
+            assert entry == unit_biquaternion(symbol)
     assert table.total.isclose(Biquaternion.from_scalar(-1.0), 1e-12)
 
 
@@ -387,8 +371,8 @@ def test_term_table_off_diagonal_cancellation():
     parts = [Biquaternion.from_coefficients(0, s, 0, 0, 0, 0, 0, 0),
              Biquaternion.from_coefficients(0, 0, 0, 0, 0, 0, 1, 0)]
     table = term_table(parts)
-    assert table.entries[0][1].isclose(s * _unit("kI"), 1e-15)
-    assert table.entries[1][0].isclose(-s * _unit("kI"), 1e-15)
+    assert table.entries[0][1].isclose(s * unit_biquaternion("kI"), 1e-15)
+    assert table.entries[1][0].isclose(-s * unit_biquaternion("kI"), 1e-15)
     assert table.total.isclose(Biquaternion.from_scalar(-1.0), 1e-12)
 
 
@@ -414,14 +398,14 @@ def test_term_table_requires_parts():
 def test_format_terms():
     assert format_terms(Biquaternion.from_scalar(0.0)) == "0"
     assert format_terms(Biquaternion.from_scalar(-1.0)) == "-1"
-    assert format_terms(_unit("kI")) == "kI"
+    assert format_terms(unit_biquaternion("kI")) == "kI"
     q = Biquaternion.from_coefficients(1.5, 0, 0, 0, 0, 0, -2, 0)
     assert format_terms(q) == "1.5-2jI"
     assert format_terms(Biquaternion.from_scalar(math.sqrt(2)), digits=4) == "1.414"
 
 
 def test_render_layout():
-    parts = [_unit("i"), _unit("jI")]
+    parts = [unit_biquaternion("i"), unit_biquaternion("jI")]
     text = term_table(parts).render(digits=4)
     lines = text.splitlines()
     assert len(lines) == 4  # header, rule, two rows
