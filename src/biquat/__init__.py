@@ -14,16 +14,11 @@ The oracle module and its names are imported on first access, so
 import importlib
 
 from .algebra import (
-    COMPLEX_COMPONENTS,
     DEFAULT_TOL,
-    QUATERNION_PARTS,
     Biquaternion,
-    ComplexComponents,
-    ComplexScalar,
     PureUnit,
     Quaternion,
     biquat_mul,
-    convert_view,
     dot_cross,
     quat_mul,
     scalar_vector_split,
@@ -59,9 +54,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "Biquaternion",
-    "ComplexComponents",
-    "ComplexScalar",
-    "COMPLEX_COMPONENTS",
     "DEFAULT_TOL",
     "DecomposedForm",
     "ImaginaryUnit",
@@ -72,7 +64,6 @@ __all__ = [
     "NotRoot",
     "PerpendicularityError",
     "PureUnit",
-    "QUATERNION_PARTS",
     "Quaternion",
     "Residuals",
     "RootClassification",
@@ -84,7 +75,6 @@ __all__ = [
     "classify_coefficients",
     "classify_root",
     "constraint_residuals",
-    "convert_view",
     "decompose",
     "dot_cross",
     "format_terms",

@@ -7,7 +7,8 @@ tuples and wire formats throughout the package, is
 ``(w_r, x_r, y_r, z_r, w_i, x_i, y_i, z_i)``.
 
 The equivalent presentation as four complex components is a relabeling
-of the same eight reals (see ``convert_view``), never a second copy.
+of the same eight reals (see ``Biquaternion.complex_components``), never
+a second copy.
 
 All types are immutable values and all operations are pure functions,
 so they are safe to share between threads.
@@ -23,10 +24,6 @@ from dataclasses import dataclass
 DEFAULT_TOL = 1e-9   # generic approximate comparisons
 UNIT_TOL = 1e-9      # unit-norm validation of PureUnit
 PURE_TOL = 1e-12     # zero-scalar-part validation in dot_cross
-
-# View tags accepted by convert_view.
-QUATERNION_PARTS = "quaternion-parts"
-COMPLEX_COMPONENTS = "complex-components"
 
 # The basis unit of each coefficient, in coefficient order.
 UNIT_SYMBOLS = ("1", "i", "j", "k", "I", "iI", "jI", "kI")
@@ -146,29 +143,6 @@ class PureUnit:
 
 
 @dataclass(frozen=True, slots=True)
-class ComplexScalar:
-    """Complex number ``re + im*I`` used by the complex-components view."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", float(self.re))
-        object.__setattr__(self, "im", float(self.im))
-        _check_finite("ComplexScalar", self.re, self.im)
-
-
-@dataclass(frozen=True, slots=True)
-class ComplexComponents:
-    """Biquaternion presented as four complex components ``w + x*i + y*j + z*k``."""
-
-    w: ComplexScalar
-    x: ComplexScalar
-    y: ComplexScalar
-    z: ComplexScalar
-
-
-@dataclass(frozen=True, slots=True)
 class Biquaternion:
     """Biquaternion ``qr + qi*I`` with real-quaternion parts ``qr`` and ``qi``."""
 
@@ -182,6 +156,27 @@ class Biquaternion:
     @classmethod
     def from_scalar(cls, value: float) -> Biquaternion:
         return cls(Quaternion(value, 0.0, 0.0, 0.0), Quaternion(0.0, 0.0, 0.0, 0.0))
+
+    @classmethod
+    def from_complex_components(cls, w: complex, x: complex, y: complex,
+                                z: complex) -> Biquaternion:
+        """Inverse of ``complex_components``; the round trip is bit-exact.
+
+        Non-finite parts raise ``ValueError``, as for ``Quaternion``.
+        """
+        return cls.from_coefficients(w.real, x.real, y.real, z.real,
+                                     w.imag, x.imag, y.imag, z.imag)
+
+    def complex_components(self) -> tuple[complex, complex, complex, complex]:
+        """The complex components ``(w, x, y, z)`` of ``w + x*i + y*j + z*k``.
+
+        Each pairs one coefficient of ``qr`` with the same one of ``qi``,
+        as in ``w = complex(qr.w, qi.w)``, so ``I`` reads as Python's
+        imaginary unit and the eight reals move without arithmetic.
+        """
+        qr, qi = self.qr, self.qi
+        return (complex(qr.w, qi.w), complex(qr.x, qi.x),
+                complex(qr.y, qi.y), complex(qr.z, qi.z))
 
     def coefficients(self) -> tuple[float, ...]:
         """The eight reals in canonical order (w_r, x_r, y_r, z_r, w_i, x_i, y_i, z_i)."""
@@ -283,36 +278,6 @@ def square_residual(q: Biquaternion | Sequence[float]) -> float:
     sq = mul_coefficients(c, c)
     residual = math.hypot(sq[0] + 1.0, *sq[1:])
     return math.inf if math.isnan(residual) else residual
-
-
-def convert_view(value, target: str):
-    """Relabel a biquaternion between its two presentations.
-
-    ``value`` is either a Biquaternion (quaternion-parts view) or a
-    ComplexComponents (complex-components view); ``target`` names the
-    requested view. The conversion moves the eight coefficients without
-    any arithmetic, so a round trip is bit-exact.
-    """
-    if target == QUATERNION_PARTS:
-        if isinstance(value, Biquaternion):
-            return value
-        if isinstance(value, ComplexComponents):
-            return Biquaternion(
-                Quaternion(value.w.re, value.x.re, value.y.re, value.z.re),
-                Quaternion(value.w.im, value.x.im, value.y.im, value.z.im),
-            )
-    elif target == COMPLEX_COMPONENTS:
-        if isinstance(value, ComplexComponents):
-            return value
-        if isinstance(value, Biquaternion):
-            qr, qi = value.qr, value.qi
-            return ComplexComponents(
-                ComplexScalar(qr.w, qi.w), ComplexScalar(qr.x, qi.x),
-                ComplexScalar(qr.y, qi.y), ComplexScalar(qr.z, qi.z),
-            )
-    else:
-        raise ValueError(f"unknown view tag {target!r}")
-    raise TypeError(f"cannot convert {type(value).__name__} to view {target!r}")
 
 
 def scalar_vector_split(q: Quaternion) -> tuple[float, Quaternion]:

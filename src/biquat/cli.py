@@ -23,13 +23,11 @@ import os
 import sys
 
 from .algebra import (
-    COMPLEX_COMPONENTS,
     UNIT_SYMBOLS,
     Biquaternion,
     PureUnit,
     biquat_mul,
     check_tolerance,
-    convert_view,
     mul_coefficients,
 )
 from .roots import (
@@ -132,8 +130,11 @@ def format_coefficients(q: Biquaternion, digits: int = 17) -> str:
     return _coefficients_template(digits) % q.coefficients()
 
 
-def _coeff_lists(c) -> dict:
-    return {"qr": list(c[:4]), "qi": list(c[4:])}
+def _coefficients_formatter(args):
+    """The run's output line for 8 coefficients: JSON {"qr", "qi"} or text."""
+    if args.json:
+        return lambda c: json.dumps({"qr": list(c[:4]), "qi": list(c[4:])})
+    return _coefficients_template(args.digits).__mod__
 
 
 def _inputs(args):
@@ -143,39 +144,47 @@ def _inputs(args):
 
 
 def _cmd_square(args) -> int:
-    template = _coefficients_template(args.digits)
+    line = _coefficients_formatter(args)
     write = sys.stdout.write
     for text in _inputs(args):
         c = parse_coefficients(text)
         sq = mul_coefficients(c, c)
         if not math.isfinite(sum(sq)) and not all(map(math.isfinite, sq)):
             raise ValueError("the square of this input overflows a double")
-        write((json.dumps(_coeff_lists(sq)) if args.json else template % sq) + "\n")
+        write(line(sq) + "\n")
     return EXIT_OK
+
+
+# The output name of each verdict, in text and JSON alike.
+_FAMILY_NAMES = {Nontrivial: "nontrivial", UnitPure: "unit-pure",
+                 ImaginaryUnit: "imaginary-unit", NotRoot: "not-a-root",
+                 TheoremViolationError: "theorem-violation"}
 
 
 def _classification_record(result) -> dict:
     """The JSON record of a classification, without its residual."""
+    record = {"family": _FAMILY_NAMES[type(result)]}
     if isinstance(result, Nontrivial):
-        return {"family": "nontrivial",
-                "mu": [result.mu.x, result.mu.y, result.mu.z],
-                "nu": [result.nu.x, result.nu.y, result.nu.z],
-                "t": result.t}
-    if isinstance(result, UnitPure):
-        return {"family": "unit-pure", "mu": [result.mu.x, result.mu.y, result.mu.z]}
-    if isinstance(result, ImaginaryUnit):
-        return {"family": "imaginary-unit", "sign": result.sign}
-    return {"family": "not-a-root"}
+        record.update(mu=[result.mu.x, result.mu.y, result.mu.z],
+                      nu=[result.nu.x, result.nu.y, result.nu.z], t=result.t)
+    elif isinstance(result, UnitPure):
+        record["mu"] = [result.mu.x, result.mu.y, result.mu.z]
+    elif isinstance(result, ImaginaryUnit):
+        record["sign"] = result.sign
+    return record
 
 
 def _classification_templates(digits: int) -> dict:
-    """One text template per family; each takes its fields, then the residual."""
+    """One text template per verdict: its name, its fields, the residual, and
+    for a theorem violation its failures."""
     g = f"%.{digits}g"
     pure = f"({g} {g} {g})"
-    return {Nontrivial: f"nontrivial mu={pure} nu={pure} t={g} residual={g}",
-            UnitPure: f"unit-pure mu={pure} residual={g}",
-            ImaginaryUnit: f"imaginary-unit sign=%+d residual={g}",
-            NotRoot: f"not-a-root residual={g}"}
+    fields = {Nontrivial: f" mu={pure} nu={pure} t={g}", UnitPure: f" mu={pure}",
+              ImaginaryUnit: " sign=%+d"}
+    templates = {kind: f"{name}{fields.get(kind, '')} residual={g}"
+                 for kind, name in _FAMILY_NAMES.items()}
+    templates[TheoremViolationError] += " (%s)"
+    return templates
 
 
 def _classification_line(templates: dict, result, residual: float) -> str:
@@ -203,12 +212,12 @@ def _cmd_classify(args) -> int:
             result, residual = classify_coefficients(parse_coefficients(text), args.tol)
         except TheoremViolationError as exc:
             if args.json:
-                write(json.dumps({"family": "theorem-violation",
+                write(json.dumps({"family": _FAMILY_NAMES[TheoremViolationError],
                                   "residual": exc.residual,
                                   "failures": list(exc.failures)}) + "\n")
             else:
-                write(f"theorem-violation residual={_fmt(exc.residual, args.digits)} "
-                      f"({'; '.join(exc.failures)})\n")
+                write(templates[TheoremViolationError]
+                      % (exc.residual, "; ".join(exc.failures)) + "\n")
             code = max(code, EXIT_VIOLATION)
             continue
         if args.json:
@@ -227,10 +236,7 @@ def _cmd_make_root(args) -> int:
     mu = parse_pure_unit(args.mu, "mu")
     nu = parse_pure_unit(args.nu, "nu")
     root = make_nontrivial_root(mu, nu, args.t, perp_tol=args.tol)
-    if args.json:
-        print(json.dumps(_coeff_lists(root.coefficients())))
-    else:
-        print(format_coefficients(root, args.digits))
+    print(_coefficients_formatter(args)(root.coefficients()))
     return EXIT_OK
 
 
@@ -241,13 +247,10 @@ def _cmd_sample(args) -> int:
 
     if args.count < 0:
         raise ParseError(f"--count must be nonnegative, got {args.count}")
+    line = _coefficients_formatter(args)
     rng = np.random.default_rng(args.seed)
     for _ in range(args.count):
-        root = sample_root(rng, args.t_max)
-        if args.json:
-            print(json.dumps(_coeff_lists(root.coefficients())))
-        else:
-            print(format_coefficients(root, args.digits))
+        print(line(sample_root(rng, args.t_max).coefficients()))
     return EXIT_OK
 
 
@@ -255,14 +258,13 @@ def _cmd_convert(args) -> int:
     d = args.digits
     write = sys.stdout.write
     for text in _inputs(args):
-        view = convert_view(parse_biquaternion(text), COMPLEX_COMPONENTS)
-        parts = (("w", view.w), ("x", view.x), ("y", view.y), ("z", view.z))
+        parts = zip("wxyz", parse_biquaternion(text).complex_components())
         if args.json:
-            write(json.dumps({name: [comp.re, comp.im] for name, comp in parts}) + "\n")
+            write(json.dumps({name: [z.real, z.imag] for name, z in parts}) + "\n")
         else:
             write(" ".join(
-                f"{name}={_fmt(comp.re, d)}{'-' if comp.im < 0 else '+'}"
-                f"{_fmt(abs(comp.im), d)}I" for name, comp in parts) + "\n")
+                f"{name}={_fmt(z.real, d)}{'-' if z.imag < 0 else '+'}"
+                f"{_fmt(abs(z.imag), d)}I" for name, z in parts) + "\n")
     return EXIT_OK
 
 
@@ -298,7 +300,7 @@ def _cmd_lattice(args) -> int:
             "tolerance": report.tolerance,
             "hits": [{"a": h.a, "b": h.b, "c": h.c, "d": h.d,
                       "residual": h.residual,
-                      "family": _classification_record(h.classification)["family"]}
+                      "family": _FAMILY_NAMES[type(h.classification)]}
                      for h in report.hits],
             "violations": list(report.violations),
         }))
@@ -307,7 +309,7 @@ def _cmd_lattice(args) -> int:
               f"{_fmt(report.tolerance, args.digits)}: {len(report.hits)} hits, "
               f"{len(report.violations)} violations")
         for h in report.hits:
-            family = _classification_record(h.classification)["family"]
+            family = _FAMILY_NAMES[type(h.classification)]
             print(f"hit a={_fmt(h.a, args.digits)} b={_fmt(h.b, args.digits)} "
                   f"c={_fmt(h.c, args.digits)} d={_fmt(h.d, args.digits)} "
                   f"residual={_fmt(h.residual, args.digits)} family={family}")
@@ -480,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify-examples",
                           help="run the three worked examples end to end")
-    _add_common(sub)
+    _add_common(sub, digits=False)
     sub.set_defaults(func=_cmd_verify_examples)
 
     return parser

@@ -4,22 +4,18 @@ import numpy as np
 import pytest
 
 from biquat.algebra import (
-    COMPLEX_COMPONENTS,
-    QUATERNION_PARTS,
     Biquaternion,
-    ComplexScalar,
     PureUnit,
     Quaternion,
     biquat_mul,
     check_tolerance,
-    convert_view,
     dot_cross,
     mul_coefficients,
     quat_mul,
     scalar_vector_split,
     square_residual,
 )
-from oracles import complex_hamilton, square_via_complex_view
+from oracles import _to_complex, complex_hamilton, square_via_complex_view
 
 ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)
@@ -155,40 +151,24 @@ def test_square_residual_examples():
     assert square_residual(q) == math.inf
 
 
-def test_convert_view_example():
+def test_complex_components_example():
     q = Biquaternion(Quaternion(1, 2, 0, 0), Quaternion(3, 0, 0, 0))
-    view = convert_view(q, COMPLEX_COMPONENTS)
-    assert view.w == ComplexScalar(1, 3)
-    assert view.x == ComplexScalar(2, 0)
-    assert view.y == ComplexScalar(0, 0)
-    assert view.z == ComplexScalar(0, 0)
+    assert q.complex_components() == (complex(1, 3), complex(2, 0), 0j, 0j)
+    assert all(type(c) is complex for c in q.complex_components())
 
 
-def test_convert_view_zero():
+def test_complex_components_zero():
     zero = Biquaternion.from_scalar(0.0)
-    view = convert_view(zero, COMPLEX_COMPONENTS)
-    assert all(c == ComplexScalar(0, 0) for c in (view.w, view.x, view.y, view.z))
-    assert convert_view(view, QUATERNION_PARTS) == zero
+    assert zero.complex_components() == (0j, 0j, 0j, 0j)
+    assert Biquaternion.from_complex_components(0j, 0j, 0j, 0j) == zero
 
 
-def test_convert_view_round_trip_is_exact():
+def test_complex_components_round_trip_is_exact():
     rng = np.random.default_rng(5)
     for _ in range(200):
         q = rand_biquat(rng)
-        assert convert_view(convert_view(q, COMPLEX_COMPONENTS),
-                            QUATERNION_PARTS) == q
-    # already in the requested view: identity
-    assert convert_view(q, QUATERNION_PARTS) is q
-    view = convert_view(q, COMPLEX_COMPONENTS)
-    assert convert_view(view, COMPLEX_COMPONENTS) is view
-
-
-def test_convert_view_rejects_bad_arguments():
-    q = Biquaternion.from_scalar(1.0)
-    with pytest.raises(ValueError):
-        convert_view(q, "matrix")
-    with pytest.raises(TypeError):
-        convert_view("not a biquaternion", QUATERNION_PARTS)
+        assert q.complex_components() == _to_complex(q.coefficients())
+        assert Biquaternion.from_complex_components(*q.complex_components()) == q
 
 
 def test_scalar_vector_split():
@@ -289,7 +269,7 @@ def test_nonfinite_coefficients_rejected():
     with pytest.raises(ValueError, match="finite"):
         Biquaternion.from_coefficients(0, 1, 0, 0, 0, 0, float("inf"), 0)
     with pytest.raises(ValueError, match="finite"):
-        ComplexScalar(0.0, float("-inf"))
+        Biquaternion.from_complex_components(complex(0, float("-inf")), 0j, 0j, 0j)
 
 
 def test_quaternion_stores_plain_floats():

@@ -177,6 +177,9 @@ def test_sample_json_matches_text(capsys):
 def test_convert_labels(capsys):
     assert main(["convert", "1 2 0 0 3 0 0 -4"]) == 0
     assert capsys.readouterr().out == "w=1+3I x=2+0I y=0+0I z=0-4I\n"
+    # a negative zero keeps its sign in a real part and prints "+0I" as an imaginary one
+    assert main(["convert", "-0.0 0 0 0 0 0 -0.0 0"]) == 0
+    assert capsys.readouterr().out == "w=-0+0I x=0+0I y=0+0I z=0+0I\n"
     assert main(["convert", "--json", "1 2 0 0 3 0 0 -4"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "w": [1.0, 3.0], "x": [2.0, 0.0], "y": [0.0, 0.0], "z": [0.0, -4.0]}
@@ -203,6 +206,17 @@ def test_lattice_command(capsys):
     assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0",
                  "--bound", "0.5", "--step", "0.25"]) == 1
     assert "0 hits" in capsys.readouterr().out
+    assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "scanned 83521 points at tolerance 1.0000000000000001e-09: 8 hits, 0 violations",
+        "hit a=0 b=-1.25 c=0 d=-0.75 residual=0 family=nontrivial",
+        "hit a=0 b=-1.25 c=0 d=0.75 residual=0 family=nontrivial",
+        "hit a=0 b=-1 c=0 d=0 residual=0 family=unit-pure",
+        "hit a=0 b=0 c=-1 d=0 residual=0 family=imaginary-unit",
+        "hit a=0 b=0 c=1 d=0 residual=0 family=imaginary-unit",
+        "hit a=0 b=1 c=0 d=0 residual=0 family=unit-pure",
+        "hit a=0 b=1.25 c=0 d=-0.75 residual=0 family=nontrivial",
+        "hit a=0 b=1.25 c=0 d=0.75 residual=0 family=nontrivial"]
     assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["scanned"] == 17 ** 4
@@ -245,6 +259,16 @@ def test_classify_theorem_violation_exits_three(capsys):
     out = capsys.readouterr().out
     assert out.startswith("theorem-violation")
     assert "dot" in out
+    assert main(["classify", text, "--tol", "0.25", "--json"]) == 3
+    record = json.loads(capsys.readouterr().out)
+    assert list(record) == ["family", "residual", "failures"]
+    assert record["family"] == "theorem-violation"
+    assert record["residual"] == square_residual(parse_biquaternion(text))
+    [failure] = record["failures"]
+    assert failure.startswith("|dot(mu, nu)| = ") and failure.endswith(" > tol")
+    # the text line carries the same residual and failures
+    assert out == (f"theorem-violation residual={record['residual']!r} "
+                   f"({failure})\n")
 
 
 def test_usage_errors_exit_two(monkeypatch, capsys):
@@ -277,7 +301,7 @@ def test_negative_digits_is_a_usage_error(monkeypatch, capsys):
     pair = ["--mu", "1 0 0", "--nu", "0 1 0"]
     for argv in (["square"], ["square", SQRT2_ROOT], ["classify"], ["classify", SQRT2_ROOT],
                  ["convert"], ["table"], ["make-root", *pair, "--t", "1"], ["sample"],
-                 ["lattice", *pair], ["verify-examples"]):
+                 ["lattice", *pair]):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         with pytest.raises(SystemExit) as excinfo:
             main(argv + ["--digits", "-1"])
@@ -285,6 +309,13 @@ def test_negative_digits_is_a_usage_error(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: argument --digits: must be nonnegative, got -1\n")
+    # verify-examples prints no numbers to format, so it takes no --digits
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify-examples", "--digits", "3"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --digits 3\n")
 
 
 def test_square_overflow_is_reported(capsys):
