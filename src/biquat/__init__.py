@@ -18,10 +18,13 @@ from .algebra import (
     Biquaternion,
     PureUnit,
     Quaternion,
+    TermTable,
     biquat_mul,
     dot_cross,
+    format_terms,
     quat_mul,
     scalar_vector_split,
+    term_table,
 )
 from .roots import (
     DecomposedForm,

@@ -8,7 +8,10 @@ tuples and wire formats throughout the package, is
 
 The equivalent presentation as four complex components is a relabeling
 of the same eight reals (see ``Biquaternion.complex_components``), never
-a second copy.
+a second copy. ``UNIT_SYMBOLS`` names the basis unit of each coefficient;
+``format_terms`` and ``unit_biquaternion`` write and read biquaternions in
+those symbols, and ``term_table`` lays out the pairwise products of a
+sum's terms, as the worked examples of the paper do.
 
 All types are immutable values and all operations are pure functions,
 so they are safe to share between threads.
@@ -20,13 +23,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-# Absolute tolerances: one knob per concern, overridable per call.
+# Absolute tolerances, one per concern. DEFAULT_TOL is the default of every
+# ``tol`` keyword; the other two are fixed.
 DEFAULT_TOL = 1e-9   # generic approximate comparisons
 UNIT_TOL = 1e-9      # unit-norm validation of PureUnit
 PURE_TOL = 1e-12     # zero-scalar-part validation in dot_cross
-
-# The basis unit of each coefficient, in coefficient order.
-UNIT_SYMBOLS = ("1", "i", "j", "k", "I", "iI", "jI", "kI")
 
 
 def _check_finite(kind: str, *values: float) -> None:
@@ -285,15 +286,14 @@ def scalar_vector_split(q: Quaternion) -> tuple[float, Quaternion]:
     return q.w, Quaternion(0.0, q.x, q.y, q.z)
 
 
-def dot_cross(u: Quaternion, v: Quaternion,
-              pure_tol: float = PURE_TOL) -> tuple[float, Quaternion]:
+def dot_cross(u: Quaternion, v: Quaternion) -> tuple[float, Quaternion]:
     """Dot and cross product of two pure quaternions.
 
-    Rejects inputs whose scalar part exceeds ``pure_tol``. For pure u, v
+    Rejects inputs whose scalar part exceeds ``PURE_TOL``. For pure u, v
     the Hamilton product satisfies u*v = -dot(u, v) + cross(u, v), the
     identity behind all the perpendicularity arguments in this package.
     """
-    if abs(u.w) > pure_tol or abs(v.w) > pure_tol:
+    if abs(u.w) > PURE_TOL or abs(v.w) > PURE_TOL:
         raise ValueError(
             f"dot_cross requires pure quaternions, got scalar parts "
             f"{u.w!r} and {v.w!r}")
@@ -303,3 +303,78 @@ def dot_cross(u: Quaternion, v: Quaternion,
                        u.z * v.x - u.x * v.z,
                        u.x * v.y - u.y * v.x)
     return dot, cross
+
+
+# The basis unit of each coefficient, in coefficient order.
+UNIT_SYMBOLS = ("1", "i", "j", "k", "I", "iI", "jI", "kI")
+
+
+def unit_biquaternion(symbol: str) -> Biquaternion:
+    """The basis unit a symbol of ``UNIT_SYMBOLS`` names, negated by a leading "-"."""
+    sign = 1.0
+    if symbol.startswith("-"):
+        sign, symbol = -1.0, symbol[1:]
+    coeffs = [0.0] * 8
+    coeffs[UNIT_SYMBOLS.index(symbol)] = sign
+    return Biquaternion.from_coefficients(*coeffs)
+
+
+_UNIT_LABELS = ("",) + UNIT_SYMBOLS[1:]   # a scalar term carries no label
+
+
+def format_terms(q: Biquaternion, digits: int = 17) -> str:
+    """Compact basis-term rendering, e.g. ``-1``, ``k``, ``1.5i-2jI``."""
+    pieces = []
+    for coeff, label in zip(q.coefficients(), _UNIT_LABELS):
+        if coeff == 0.0:
+            continue
+        sign = "-" if coeff < 0.0 else ("+" if pieces else "")
+        magnitude = format(abs(coeff), f".{digits}g")
+        if label and magnitude == "1":
+            magnitude = ""
+        pieces.append(f"{sign}{magnitude}{label}")
+    return "".join(pieces) if pieces else "0"
+
+
+@dataclass(frozen=True)
+class TermTable:
+    """Pairwise products of the summands of a biquaternion.
+
+    Entry (r, c) is summands[r] * summands[c]; by distributivity the
+    entries sum to the square of the total, so the table lays out exactly
+    which terms cancel when a root squares to -1.
+    """
+
+    parts: tuple[Biquaternion, ...]
+    entries: tuple[tuple[Biquaternion, ...], ...]
+
+    @property
+    def total(self) -> Biquaternion:
+        total = Biquaternion.from_scalar(0.0)
+        for row in self.entries:
+            for entry in row:
+                total = total + entry
+        return total
+
+    def render(self, digits: int = 17) -> str:
+        labels = [format_terms(p, digits) for p in self.parts]
+        cells = [[format_terms(e, digits) for e in row] for row in self.entries]
+        widths = [max(len(labels[c]), *(len(row[c]) for row in cells))
+                  for c in range(len(labels))]
+        row_width = max(len(lbl) for lbl in labels)
+        lines = [" " * row_width + " | " +
+                 "  ".join(lbl.rjust(w) for lbl, w in zip(labels, widths))]
+        lines.append("-" * len(lines[0]))
+        for lbl, row in zip(labels, cells):
+            lines.append(lbl.rjust(row_width) + " | " +
+                         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+        return "\n".join(lines)
+
+
+def term_table(parts: list[Biquaternion] | tuple[Biquaternion, ...]) -> TermTable:
+    """Tabulate all pairwise products of the given summands."""
+    if not parts:
+        raise ValueError("term_table needs at least one summand")
+    parts = tuple(parts)
+    entries = tuple(tuple(biquat_mul(r, c) for c in parts) for r in parts)
+    return TermTable(parts, entries)

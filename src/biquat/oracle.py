@@ -19,13 +19,8 @@ The scan takes the products of one (c, d) plane once and scores every
 each point near the tolerance is decided by ``classify_coefficients``.
 
 All sampling is reproducible: a run is fully determined by the seed and
-parameters. Batch sampling split across workers should derive one child
-generator per task from the master seed with ``Generator.spawn``, which
-is itself deterministic. The lattice scan accumulates hits in lattice
-index order (a outermost, then b, c, d), one (c, d) plane per (a, b);
-the plane is the natural chunk, so chunked or parallel execution merges
-to the identical report as a serial one provided chunks are
-concatenated in index order.
+parameters. The lattice scan reports hits in lattice index order (a
+outermost, then b, c, d).
 """
 
 from __future__ import annotations
@@ -39,10 +34,8 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
-    UNIT_SYMBOLS,
     Biquaternion,
     PureUnit,
-    biquat_mul,
     check_tolerance,
     hamilton,
     mul_coefficients,
@@ -353,64 +346,3 @@ def refine_root(q0: Biquaternion, max_iter: int = 25, *,
     raise NonConvergenceError(
         Biquaternion.from_coefficients(*x.tolist()), residual,
         f"no convergence within {max_iter} iterations")
-
-
-@dataclass(frozen=True)
-class TermTable:
-    """Pairwise products of the summands of a biquaternion.
-
-    Entry (r, c) is summands[r] * summands[c]; by distributivity the
-    entries sum to the square of the total, so the table lays out exactly
-    which terms cancel when a root squares to -1.
-    """
-
-    parts: tuple[Biquaternion, ...]
-    entries: tuple[tuple[Biquaternion, ...], ...]
-
-    @property
-    def total(self) -> Biquaternion:
-        total = Biquaternion.from_scalar(0.0)
-        for row in self.entries:
-            for entry in row:
-                total = total + entry
-        return total
-
-    def render(self, digits: int = 17) -> str:
-        labels = [format_terms(p, digits) for p in self.parts]
-        cells = [[format_terms(e, digits) for e in row] for row in self.entries]
-        widths = [max(len(labels[c]), *(len(row[c]) for row in cells))
-                  for c in range(len(labels))]
-        row_width = max(len(lbl) for lbl in labels)
-        lines = [" " * row_width + " | " +
-                 "  ".join(lbl.rjust(w) for lbl, w in zip(labels, widths))]
-        lines.append("-" * len(lines[0]))
-        for lbl, row in zip(labels, cells):
-            lines.append(lbl.rjust(row_width) + " | " +
-                         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        return "\n".join(lines)
-
-
-def term_table(parts: list[Biquaternion] | tuple[Biquaternion, ...]) -> TermTable:
-    """Tabulate all pairwise products of the given summands."""
-    if not parts:
-        raise ValueError("term_table needs at least one summand")
-    parts = tuple(parts)
-    entries = tuple(tuple(biquat_mul(r, c) for c in parts) for r in parts)
-    return TermTable(parts, entries)
-
-
-_UNIT_LABELS = ("",) + UNIT_SYMBOLS[1:]   # a scalar term carries no label
-
-
-def format_terms(q: Biquaternion, digits: int = 17) -> str:
-    """Compact basis-term rendering, e.g. ``-1``, ``k``, ``1.5i-2jI``."""
-    pieces = []
-    for coeff, label in zip(q.coefficients(), _UNIT_LABELS):
-        if coeff == 0.0:
-            continue
-        sign = "-" if coeff < 0.0 else ("+" if pieces else "")
-        magnitude = format(abs(coeff), f".{digits}g")
-        if label and magnitude == "1":
-            magnitude = ""
-        pieces.append(f"{sign}{magnitude}{label}")
-    return "".join(pieces) if pieces else "0"

@@ -12,14 +12,22 @@ import time
 
 import numpy as np
 
-from biquat.algebra import Biquaternion, PureUnit, Quaternion, biquat_mul, dot_cross, quat_mul
+from biquat.algebra import (
+    Biquaternion,
+    PureUnit,
+    Quaternion,
+    biquat_mul,
+    dot_cross,
+    quat_mul,
+    term_table,
+    unit_biquaternion,
+)
 from biquat.cli import (
     EXAMPLE1_INPUT,
     EXAMPLE2_SUMMANDS,
     EXAMPLE2_TABLE,
     EXAMPLE3_SUMMANDS,
     parse_biquaternion,
-    unit_biquaternion,
 )
 from biquat.oracle import (
     LatticeSpec,
@@ -27,7 +35,6 @@ from biquat.oracle import (
     refine_root,
     sample_perpendicular,
     sample_unit_pure,
-    term_table,
 )
 from biquat.roots import (
     ImaginaryUnit,

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,17 +13,24 @@ import numpy as np
 import pytest
 
 import biquat
-from biquat.algebra import Biquaternion, biquat_mul, square_residual
+from biquat import oracle
+from biquat.algebra import Biquaternion, PureUnit, biquat_mul, square_residual
 from biquat.cli import (
     ParseError,
     format_coefficients,
     main,
     parse_biquaternion,
 )
-from biquat.oracle import sample_perpendicular, sample_unit_pure
+from biquat.oracle import (
+    LatticeSpec,
+    lattice_search,
+    sample_perpendicular,
+    sample_unit_pure,
+)
 from biquat.roots import (
     ImaginaryUnit,
     Nontrivial,
+    TheoremViolationError,
     UnitPure,
     classify_root,
     make_nontrivial_root,
@@ -57,6 +65,8 @@ def test_parse_errors_carry_position():
         parse_biquaternion('{"qr": [1, 2], "qi": [5, 6, 7, 8]}')
     with pytest.raises(ParseError, match="JSON"):
         parse_biquaternion("{ not json }")
+    with pytest.raises(ParseError, match=re.escape('"qr"[0]: inf is not finite')):
+        parse_biquaternion('{"qr": [Infinity, 0, 0, 0], "qi": [0, 0, 0, 0]}')
 
 
 def test_format_parse_closure():
@@ -139,6 +149,8 @@ def test_make_root_rejects_bad_directions(capsys):
                  "--nu", "0.7071067811865475 0.7071067811865475 0",
                  "--t", "1"]) == 2
     assert "perpendicular" in capsys.readouterr().err
+    assert main(["make-root", "--mu", "1 0", "--nu", "0 1 0", "--t", "1"]) == 2
+    assert capsys.readouterr().err == "error: mu: expected 3 numbers, got 2\n"
 
 
 def test_make_root_rejects_overflowing_t(capsys):
@@ -232,6 +244,34 @@ def test_lattice_rejects_bad_grid(capsys):
     assert "integer" in capsys.readouterr().err
     assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0", "--bound", "inf"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_lattice_violation_exits_three(monkeypatch, capsys):
+    # a census hit that fails classification is reported, never counted as a hit
+    bad = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)   # a = c = d = 0, b = 1: q = i
+    real = oracle.classify_coefficients
+
+    def classify(coeffs, tol):
+        if tuple(coeffs) == bad:
+            raise TheoremViolationError(Biquaternion.from_coefficients(*bad), 0.0,
+                                        ["injected failure"])
+        return real(coeffs, tol)
+
+    monkeypatch.setattr(oracle, "classify_coefficients", classify)
+    message = ("point (0.0, 1.0, 0.0, 0.0): root classification inconsistency: "
+               "residual 0.0 passes but injected failure")
+    report = lattice_search(LatticeSpec(1.0, 0.5, PureUnit(1, 0, 0), PureUnit(0, 1, 0)))
+    assert report.violations == (message,)
+    assert [(h.a, h.b, h.c, h.d) for h in report.hits] == [
+        (0.0, -1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
+    argv = ["lattice", "--mu", "1 0 0", "--nu", "0 1 0", "--bound", "1", "--step", "0.5"]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("scanned 625 points at tolerance 1.0000000000000001e-09: "
+                          "3 hits, 1 violations\n")
+    assert out.endswith(f"violation: {message}\n")
+    assert main(argv + ["--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["violations"] == [message]
 
 
 def test_verify_examples(capsys):
@@ -337,6 +377,8 @@ def test_commands_without_oracle_do_not_load_numpy():
             assert biquat.cli.main(["convert", "1 2 3 4 5 6 7 8"]) == 0
             assert biquat.cli.main(["make-root", "--mu", "1 0 0", "--nu", "0 1 0",
                                     "--t", "1"]) == 0
+            assert biquat.cli.main(["table", "0 1 0 0 0 0 0 0", "0 0 0 0 0 0 1 0"]) == 0
+            assert biquat.cli.main(["verify-examples"]) == 0
         assert "numpy" not in sys.modules, "numpy was loaded"
         missing = [name for name in biquat.__all__ if getattr(biquat, name, None) is None]
         assert not missing, missing

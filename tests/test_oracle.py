@@ -8,30 +8,32 @@ import numpy as np
 import pytest
 
 from biquat.algebra import (
+    UNIT_SYMBOLS,
     Biquaternion,
     PureUnit,
+    TermTable,
     biquat_mul,
+    format_terms,
     mul_coefficients,
     square_residual,
+    term_table,
+    unit_biquaternion,
 )
-from biquat.cli import EXAMPLE2_SUMMANDS, EXAMPLE2_TABLE, unit_biquaternion
+from biquat.cli import EXAMPLE2_SUMMANDS, EXAMPLE2_TABLE
 from biquat.oracle import (
     LatticeHit,
     LatticeSpec,
     NonConvergenceError,
-    TermTable,
     _jacobian,
     _plane_terms,
     _scan_residuals,
     _square_residual_arrays,
     _squared_plus_one,
-    format_terms,
     lattice_search,
     refine_root,
     sample_perpendicular,
     sample_root,
     sample_unit_pure,
-    term_table,
 )
 from biquat.roots import (
     ImaginaryUnit,
@@ -402,6 +404,9 @@ def test_format_terms():
     q = Biquaternion.from_coefficients(1.5, 0, 0, 0, 0, 0, -2, 0)
     assert format_terms(q) == "1.5-2jI"
     assert format_terms(Biquaternion.from_scalar(math.sqrt(2)), digits=4) == "1.414"
+    for symbol in UNIT_SYMBOLS:
+        for signed in (symbol, "-" + symbol):
+            assert format_terms(unit_biquaternion(signed)) == signed
 
 
 def test_render_layout():
