@@ -270,20 +270,24 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    texts = list(_inputs(args))
-    if not texts:
+    parts = [parse_biquaternion(t) for t in _inputs(args)]
+    if not parts:
         raise ParseError("table needs at least one summand")
-    parts = [parse_biquaternion(t) for t in texts]
-    table = term_table(parts)
+    try:   # the summands are finite, so only an overflowing product or sum fails
+        table = term_table(parts)
+        total = table.total
+    except ValueError:
+        raise ValueError(
+            "a product or the total of these summands overflows a double") from None
     if args.json:
         print(json.dumps({
             "parts": [list(p.coefficients()) for p in table.parts],
             "entries": [[list(e.coefficients()) for e in row] for row in table.entries],
-            "total": list(table.total.coefficients()),
+            "total": list(total.coefficients()),
         }))
     else:
         print(table.render(args.digits))
-        print(f"total: {format_terms(table.total, args.digits)}")
+        print(f"total: {format_terms(total, args.digits)}")
     return EXIT_OK
 
 

@@ -49,7 +49,9 @@ from .roots import (
 )
 
 _MAX_LATTICE_POINTS = 100_000_000
-_EYE8 = np.eye(8)
+_NEWTON_ITERATIONS = 25
+_NEWTON_TARGET = 1e-12
+_NEWTON_BASIN = 0.1
 
 
 def _jacobian_basis() -> np.ndarray:
@@ -58,7 +60,7 @@ def _jacobian_basis() -> np.ndarray:
     Row k holds the flattened L(e_k) + R(e_k); products[i, k, j] is
     component i of e_k * e_j, so its transpose in (k, j) gives e_j * e_k.
     """
-    products = np.array(mul_coefficients(_EYE8[:, :, None], _EYE8[:, None, :]))
+    products = np.array(mul_coefficients(np.eye(8)[:, :, None], np.eye(8)[:, None, :]))
     return (products + products.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(8, 64)
 
 
@@ -66,10 +68,7 @@ _JACOBIAN_BASIS = _jacobian_basis()
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton refinement failed to reach the target residual.
-
-    Carries the best iterate as ``.best`` and its residual as ``.residual``.
-    """
+    """Newton missed its target; carries its best iterate ``.best`` and ``.residual``."""
 
     def __init__(self, best: Biquaternion, residual: float, message: str):
         super().__init__(f"{message} (best residual {residual!r})")
@@ -80,14 +79,13 @@ class NonConvergenceError(RuntimeError):
 def sample_unit_pure(rng: np.random.Generator) -> PureUnit:
     """Draw a uniformly distributed point on the unit sphere.
 
-    Normalizes a triple of independent Gaussians: rejection-free and
-    exactly uniform. Identical generator states yield identical outputs.
+    Normalizes a triple of independent Gaussians, exactly uniform, and redraws
+    one of norm <= 1e-9. Identical generator states yield identical outputs.
     """
     while True:
         v = rng.standard_normal(3).tolist()
-        n = math.hypot(v[0], v[1], v[2])
-        if n > 1e-9:
-            return PureUnit(v[0] / n, v[1] / n, v[2] / n)
+        if math.hypot(*v) > 1e-9:
+            return PureUnit.from_vector(*v)
 
 
 def sample_perpendicular(mu: PureUnit, rng: np.random.Generator) -> PureUnit:
@@ -99,24 +97,20 @@ def sample_perpendicular(mu: PureUnit, rng: np.random.Generator) -> PureUnit:
     keeps |dot(mu, result)| at roundoff level (< 1e-12) even for the
     worst accepted draws.
     """
-    m = np.array([mu.x, mu.y, mu.z])
     while True:
         v = sample_unit_pure(rng)
-        w = np.array([v.x, v.y, v.z])
-        w -= (w @ m) * m
-        norm = np.linalg.norm(w)
-        if norm >= 1e-6:
+        s = v.dot(mu)
+        x, y, z = v.x - s * mu.x, v.y - s * mu.y, v.z - s * mu.z
+        if math.hypot(x, y, z) >= 1e-6:
             break
-    w /= norm
-    w -= (w @ m) * m
-    w /= np.linalg.norm(w)
-    return PureUnit(w[0], w[1], w[2])
+    w = PureUnit.from_vector(x, y, z)
+    s = w.dot(mu)
+    return PureUnit.from_vector(w.x - s * mu.x, w.y - s * mu.y, w.z - s * mu.z)
 
 
 def sample_root(rng: np.random.Generator, t_max: float) -> Biquaternion:
-    """Draw a random nontrivial root with t uniform in (0, t_max]."""
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
+    """Draw a random nontrivial root with t uniform in (0, t_max], t_max finite."""
+    check_tolerance("t_max", t_max)
     mu = sample_unit_pure(rng)
     nu = sample_perpendicular(mu, rng)
     t = t_max * (1.0 - rng.random())
@@ -285,9 +279,13 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     return SearchReport(tuple(hits), total_points, tol, tuple(violations))
 
 
-def _squared_plus_one(x: np.ndarray) -> np.ndarray:
+def _squared_plus_one(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The coefficients of x^2 + 1 and their norm, as ``square_residual`` computes it."""
     c = x.tolist()
-    return np.array(mul_coefficients(c, c)) + _EYE8[0]
+    sq = mul_coefficients(c, c)
+    f = (sq[0] + 1.0, *sq[1:])
+    residual = math.hypot(*f)
+    return np.array(f), math.inf if math.isnan(residual) else residual
 
 
 def _jacobian(x: np.ndarray) -> np.ndarray:
@@ -295,8 +293,7 @@ def _jacobian(x: np.ndarray) -> np.ndarray:
     return (x @ _JACOBIAN_BASIS).reshape(8, 8)
 
 
-def refine_root(q0: Biquaternion, max_iter: int = 25, *,
-                target: float = 1e-12, basin: float = 0.1) -> Biquaternion:
+def refine_root(q0: Biquaternion) -> Biquaternion:
     """Newton-project a near-root onto the manifold ``{q : q^2 = -1}``.
 
     Iterates on the 8-dimensional map F(q) = coefficients of q^2 + 1. F is
@@ -309,29 +306,25 @@ def refine_root(q0: Biquaternion, max_iter: int = 25, *,
     cuts singular values below 1e-6 of the largest, the standard damped
     treatment of a singular Newton system. Failed steps are halved.
 
-    Inputs with aggregate residual above ``basin`` are rejected: far from
-    the manifold the iteration has no convergence story. Inputs already
-    at the target residual are returned unchanged. ``target`` and
-    ``basin`` must be finite and positive.
+    Residuals are ``square_residual``'s. Inputs above the basin 0.1 raise
+    ``ValueError``: far from the manifold Newton has no convergence story.
+    The target is 1e-12; inputs already there come back unchanged, and 25
+    iterations short of it raise ``NonConvergenceError``.
     """
-    check_tolerance("target", target)
-    check_tolerance("basin", basin)
     x = np.array(q0.coefficients())
-    f = _squared_plus_one(x)
-    residual = float(np.linalg.norm(f))
-    if residual > basin:
-        raise ValueError(
-            f"initial residual {residual!r} outside the refinement basin {basin!r}")
-    if residual <= target:
+    f, residual = _squared_plus_one(x)
+    if residual > _NEWTON_BASIN:
+        raise ValueError(f"initial residual {residual!r} outside the refinement "
+                         f"basin {_NEWTON_BASIN!r}")
+    if residual <= _NEWTON_TARGET:
         return q0
 
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERATIONS):
         step, *_ = np.linalg.lstsq(_jacobian(x), -f, rcond=1e-6)
         scale = 1.0
         for _ in range(30):
             x_new = x + scale * step
-            f_new = _squared_plus_one(x_new)
-            residual_new = float(np.linalg.norm(f_new))
+            f_new, residual_new = _squared_plus_one(x_new)
             if residual_new < residual:
                 break
             scale *= 0.5
@@ -340,9 +333,9 @@ def refine_root(q0: Biquaternion, max_iter: int = 25, *,
                 Biquaternion.from_coefficients(*x.tolist()), residual,
                 "damped Newton step failed to reduce the residual")
         x, f, residual = x_new, f_new, residual_new
-        if residual <= target:
+        if residual <= _NEWTON_TARGET:
             return Biquaternion.from_coefficients(*x.tolist())
 
     raise NonConvergenceError(
         Biquaternion.from_coefficients(*x.tolist()), residual,
-        f"no convergence within {max_iter} iterations")
+        f"no convergence within {_NEWTON_ITERATIONS} iterations")

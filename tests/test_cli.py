@@ -14,8 +14,16 @@ import pytest
 
 import biquat
 from biquat import oracle
-from biquat.algebra import Biquaternion, PureUnit, biquat_mul, square_residual
+from biquat.algebra import (
+    Biquaternion,
+    PureUnit,
+    biquat_mul,
+    square_residual,
+    term_table,
+    unit_biquaternion,
+)
 from biquat.cli import (
+    EXAMPLE2_SUMMANDS,
     ParseError,
     format_coefficients,
     main,
@@ -165,6 +173,15 @@ def test_sample_rejects_negative_count(capsys):
     assert "--count" in captured.err
 
 
+@pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
+def test_sample_rejects_bad_t_max(capsys, t_max):
+    assert main(["sample", "--t-max", t_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: t_max must be finite and positive, "
+                            f"got {float(t_max)!r}\n")
+
+
 def test_sample_is_deterministic(capsys):
     assert main(["sample", "--seed", "42", "--count", "5"]) == 0
     first = capsys.readouterr().out
@@ -203,6 +220,26 @@ def test_table_command(capsys):
     out = capsys.readouterr().out
     assert "total: -1" in out
     assert "kI" in out
+    # finite summands whose products or total overflow: no partial table on stdout
+    for summands in (["1e200 0 0 0 0 0 0 0"], ["1e308 0 0 0 0 0 0 0"] * 2,
+                     ["1.2e154 0 0 0 0 0 0 0"] * 2):   # finite products, total inf
+        assert main(["table", *summands]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a product or the total of these summands "
+                                "overflows a double\n")
+
+
+def test_table_json(capsys):
+    parts = [unit_biquaternion(s) for s in EXAMPLE2_SUMMANDS]
+    assert main(["table", "--json", *(format_coefficients(p) for p in parts)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    table = term_table(parts)
+    assert list(record) == ["parts", "entries", "total"]
+    assert record["parts"] == [list(p.coefficients()) for p in table.parts]
+    assert record["entries"] == [[list(e.coefficients()) for e in row]
+                                 for row in table.entries]
+    assert record["total"] == list(table.total.coefficients()) == [-1.0] + [0.0] * 7
 
 
 def test_table_stdin_and_empty(monkeypatch, capsys):

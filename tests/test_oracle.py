@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from biquat import oracle
 from biquat.algebra import (
     UNIT_SYMBOLS,
     Biquaternion,
@@ -120,8 +121,9 @@ def test_sample_root_properties():
     a = [sample_root(np.random.default_rng(9), 3.0) for _ in range(10)]
     b = [sample_root(np.random.default_rng(9), 3.0) for _ in range(10)]
     assert a == b
-    with pytest.raises(ValueError, match="t_max"):
-        sample_root(rng, 0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_max must be finite and positive"):
+            sample_root(rng, bad)
 
 
 def test_sample_root_residuals_stay_small():
@@ -312,8 +314,8 @@ def test_jacobian_matches_central_differences():
     h = 1e-6
     for _ in range(100):
         x = rng.uniform(-3, 3, 8)
-        columns = [(_squared_plus_one(x + h * e) - _squared_plus_one(x - h * e)) / (2 * h)
-                   for e in np.eye(8)]
+        columns = [(_squared_plus_one(x + h * e)[0] - _squared_plus_one(x - h * e)[0])
+                   / (2 * h) for e in np.eye(8)]
         assert np.allclose(_jacobian(x), np.column_stack(columns), rtol=0, atol=1e-6)
 
 
@@ -322,11 +324,13 @@ def test_refine_exact_root_returned_unchanged():
     assert refine_root(q) is q
 
 
-def test_refine_perturbed_root():
+def _noisy_root():
     q = make_nontrivial_root(MU_I, NU_J, 1.0)
-    noisy = Biquaternion.from_coefficients(
-        *(c + 1e-3 for c in q.coefficients()))
-    refined = refine_root(noisy)
+    return Biquaternion.from_coefficients(*(c + 1e-3 for c in q.coefficients()))
+
+
+def test_refine_perturbed_root():
+    refined = refine_root(_noisy_root())
     assert (biquat_mul(refined, refined) + 1.0).coefficient_norm() <= 1e-12
     assert isinstance(classify_root(refined), Nontrivial)
     assert all(type(c) is float for c in refined.coefficients())
@@ -335,21 +339,65 @@ def test_refine_perturbed_root():
 def test_refine_basin_guard():
     with pytest.raises(ValueError, match="basin"):
         refine_root(Biquaternion.from_scalar(1.0))
-    q = make_nontrivial_root(MU_I, NU_J, 1.0)
-    for bad in (math.nan, math.inf, -1.0, 0.0):
-        with pytest.raises(ValueError, match="target must be finite and positive"):
-            refine_root(q, target=bad)
-        with pytest.raises(ValueError, match="basin must be finite and positive"):
-            refine_root(q, basin=bad)
+    # a square that overflows to nan entries has residual inf, as square_residual says
+    with pytest.raises(ValueError, match="initial residual inf outside"):
+        refine_root(Biquaternion.from_coefficients(1e200, 1e200, 1e200, 1e200, 0, 0, 0, 0))
 
 
-def test_refine_reports_nonconvergence():
-    q = make_nontrivial_root(MU_I, NU_J, 1.0)
-    noisy = Biquaternion.from_coefficients(*(c + 1e-3 for c in q.coefficients()))
-    with pytest.raises(NonConvergenceError) as excinfo:
-        refine_root(noisy, max_iter=1)
-    assert excinfo.value.residual > 1e-12
+def test_refine_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(oracle, "_NEWTON_ITERATIONS", 1)
+    with pytest.raises(NonConvergenceError, match="within 1 iterations") as excinfo:
+        refine_root(_noisy_root())
     assert isinstance(excinfo.value.best, Biquaternion)
+    assert excinfo.value.residual > 1e-12
+    assert excinfo.value.residual == square_residual(excinfo.value.best)
+
+
+def test_refine_residual_is_square_residual():
+    rng = np.random.default_rng(111)
+    for _ in range(200):
+        mu = sample_unit_pure(rng)
+        q = make_nontrivial_root(mu, sample_perpendicular(mu, rng), rng.uniform(0.01, 3.0))
+        noisy = Biquaternion.from_coefficients(
+            *(np.array(q.coefficients()) + rng.uniform(-1e-3, 1e-3, 8)))
+        assert square_residual(refine_root(noisy)) <= 1e-12
+        f, residual = _squared_plus_one(np.array(noisy.coefficients()))
+        assert residual == square_residual(noisy) == math.hypot(*f)
+
+
+def _count_residuals(monkeypatch):
+    calls = []
+    original = oracle._squared_plus_one
+    monkeypatch.setattr(oracle, "_squared_plus_one",
+                        lambda x: calls.append(x) or original(x))
+    return calls
+
+
+def test_refine_halves_an_overlong_step(monkeypatch):
+    lstsq = np.linalg.lstsq
+    steps = []
+
+    def overlong(a, b, rcond):
+        steps.append(4.0 * lstsq(a, b, rcond=rcond)[0])
+        return (steps[-1],)
+
+    monkeypatch.setattr(np.linalg, "lstsq", overlong)
+    calls = _count_residuals(monkeypatch)
+    refined = refine_root(_noisy_root())
+    assert square_residual(refined) <= 1e-12
+    # one residual for q0 and one per Newton step would mean no step was halved
+    assert len(calls) > 1 + len(steps)
+
+
+def test_refine_reports_a_step_that_never_reduces(monkeypatch):
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: (np.zeros(8),))
+    calls = _count_residuals(monkeypatch)
+    noisy = _noisy_root()
+    with pytest.raises(NonConvergenceError, match="failed to reduce") as excinfo:
+        refine_root(noisy)
+    assert excinfo.value.best == noisy
+    assert excinfo.value.residual == square_residual(noisy)
+    assert len(calls) == 1 + 30   # q0, then 30 halvings of the zero step
 
 
 def test_term_table_five_by_five():
