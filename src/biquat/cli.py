@@ -248,6 +248,7 @@ def _cmd_sample(args) -> int:
 
     if args.count < 0:
         raise ParseError(f"--count must be nonnegative, got {args.count}")
+    check_tolerance("t_max", args.t_max)   # also when no root is drawn
     line = _coefficients_formatter(args)
     rng = np.random.default_rng(args.seed)
     for _ in range(args.count):

@@ -11,12 +11,13 @@ probes it numerically, desk-scale, from three directions:
   manifold ``{q : q^2 = -1}``, after which the landing point must
   classify into a known family.
 
-The census scan and the Newton step square through ``algebra.hamilton``,
-the one copy of the product formula, on coefficient arrays and vectors.
-The scan takes the products of one (c, d) plane once and scores every
-(a, b) from them by bilinearity alone, with none of the closed forms of
-``roots``; its residuals differ from the scalar route by roundoff, so
-each point near the tolerance is decided by ``classify_coefficients``.
+The census scan squares through ``algebra.hamilton``, the one copy of
+the product formula, on coefficient arrays, and Newton measures its
+iterates by ``algebra.square_residual``. The scan takes the products of
+one (c, d) plane once and scores every (a, b) from them by bilinearity
+alone, with none of the closed forms of ``roots``; its residuals differ
+from the scalar route by roundoff, so each point near the tolerance is
+decided by ``classify_coefficients``.
 
 All sampling is reproducible: a run is fully determined by the seed and
 parameters. The lattice scan reports hits in lattice index order (a
@@ -38,7 +39,7 @@ from .algebra import (
     PureUnit,
     check_tolerance,
     hamilton,
-    mul_coefficients,
+    square_residual,
 )
 from .roots import (
     NotRoot,
@@ -52,19 +53,6 @@ _MAX_LATTICE_POINTS = 100_000_000
 _NEWTON_ITERATIONS = 25
 _NEWTON_TARGET = 1e-12
 _NEWTON_BASIN = 0.1
-
-
-def _jacobian_basis() -> np.ndarray:
-    """The Jacobian of q -> q^2 + 1 as an (8, 64) linear map of q.
-
-    Row k holds the flattened L(e_k) + R(e_k); products[i, k, j] is
-    component i of e_k * e_j, so its transpose in (k, j) gives e_j * e_k.
-    """
-    products = np.array(mul_coefficients(np.eye(8)[:, :, None], np.eye(8)[:, None, :]))
-    return (products + products.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(8, 64)
-
-
-_JACOBIAN_BASIS = _jacobian_basis()
 
 
 class NonConvergenceError(RuntimeError):
@@ -279,40 +267,38 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     return SearchReport(tuple(hits), total_points, tol, tuple(violations))
 
 
-def _squared_plus_one(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """The coefficients of x^2 + 1 and their norm, as ``square_residual`` computes it."""
-    c = x.tolist()
-    sq = mul_coefficients(c, c)
-    f = (sq[0] + 1.0, *sq[1:])
-    residual = math.hypot(*f)
-    return np.array(f), math.inf if math.isnan(residual) else residual
+def _newton_step(x) -> tuple[float, ...]:
+    """The Newton step -(q + q^-1)/2 of q^2 + 1 = 0 at the coefficients x.
 
-
-def _jacobian(x: np.ndarray) -> np.ndarray:
-    """L(x) + R(x): every entry is 0 or +/-2 x_k, so the contraction is exact."""
-    return (x @ _JACOBIAN_BASIS).reshape(8, 8)
+    In the complex view q = w + v, q^-1 = (w - v)/N with N = w^2 + v.v, so
+    the step is -w (1/2 + r) - v (1/2 - r) with r = 1/(2N).
+    """
+    w, a, b, c = (complex(x[k], x[k + 4]) for k in range(4))
+    r = 0.5 / (w * w + a * a + b * b + c * c)
+    w, s = w * -(0.5 + r), r - 0.5
+    a, b, c = a * s, b * s, c * s
+    return (w.real, a.real, b.real, c.real, w.imag, a.imag, b.imag, c.imag)
 
 
 def refine_root(q0: Biquaternion) -> Biquaternion:
     """Newton-project a near-root onto the manifold ``{q : q^2 = -1}``.
 
-    Iterates on the 8-dimensional map F(q) = coefficients of q^2 + 1. F is
-    quadratic, so its Jacobian L(q) + R(q) (the matrices of left and right
-    multiplication by q) is linear in q: it is read off a constant basis,
-    built once from the product on the identity, by one small matmul per
-    iteration, with F itself evaluated on plain floats. The root manifold is
-    4-dimensional, which makes the Jacobian rank-deficient at every
-    solution; steps therefore come from an SVD least-squares solve that
-    cuts singular values below 1e-6 of the largest, the standard damped
-    treatment of a singular Newton system. Failed steps are halved.
+    Newton's equation q*delta + delta*q = -(q^2 + 1) has the closed-form
+    solution delta = -(q + q^-1)/2, so each iterate is the Newton point
+    (q - q^-1)/2, the sign-function iteration of matrix analysis, computed
+    on plain floats through the complex view (see ``_newton_step``). It
+    needs N = w^2 + v.v != 0, which holds in the basin: at N = 0 the
+    residual is at least sqrt(|1 + 2 w^2|^2 + 4 |w|^4) >= 0.707, and
+    accepted steps only lower the residual. A step that fails to lower it
+    is halved.
 
     Residuals are ``square_residual``'s. Inputs above the basin 0.1 raise
     ``ValueError``: far from the manifold Newton has no convergence story.
     The target is 1e-12; inputs already there come back unchanged, and 25
     iterations short of it raise ``NonConvergenceError``.
     """
-    x = np.array(q0.coefficients())
-    f, residual = _squared_plus_one(x)
+    x = q0.coefficients()
+    residual = square_residual(x)
     if residual > _NEWTON_BASIN:
         raise ValueError(f"initial residual {residual!r} outside the refinement "
                          f"basin {_NEWTON_BASIN!r}")
@@ -320,22 +306,22 @@ def refine_root(q0: Biquaternion) -> Biquaternion:
         return q0
 
     for _ in range(_NEWTON_ITERATIONS):
-        step, *_ = np.linalg.lstsq(_jacobian(x), -f, rcond=1e-6)
+        step = _newton_step(x)
         scale = 1.0
         for _ in range(30):
-            x_new = x + scale * step
-            f_new, residual_new = _squared_plus_one(x_new)
+            x_new = tuple(c + scale * d for c, d in zip(x, step))
+            residual_new = square_residual(x_new)
             if residual_new < residual:
                 break
             scale *= 0.5
         else:
             raise NonConvergenceError(
-                Biquaternion.from_coefficients(*x.tolist()), residual,
+                Biquaternion.from_coefficients(*x), residual,
                 "damped Newton step failed to reduce the residual")
-        x, f, residual = x_new, f_new, residual_new
+        x, residual = x_new, residual_new
         if residual <= _NEWTON_TARGET:
-            return Biquaternion.from_coefficients(*x.tolist())
+            return Biquaternion.from_coefficients(*x)
 
     raise NonConvergenceError(
-        Biquaternion.from_coefficients(*x.tolist()), residual,
+        Biquaternion.from_coefficients(*x), residual,
         f"no convergence within {_NEWTON_ITERATIONS} iterations")

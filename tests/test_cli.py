@@ -182,6 +182,15 @@ def test_sample_rejects_bad_t_max(capsys, t_max):
                             f"got {float(t_max)!r}\n")
 
 
+@pytest.mark.parametrize("t_max", ["nan", "-1", "0", "inf"])
+def test_sample_rejects_bad_t_max_without_drawing(capsys, t_max):
+    assert main(["sample", "--t-max", t_max, "--count", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: t_max must be finite and positive, "
+                            f"got {float(t_max)!r}\n")
+
+
 def test_sample_is_deterministic(capsys):
     assert main(["sample", "--seed", "42", "--count", "5"]) == 0
     first = capsys.readouterr().out

@@ -25,11 +25,10 @@ from biquat.oracle import (
     LatticeHit,
     LatticeSpec,
     NonConvergenceError,
-    _jacobian,
+    _newton_step,
     _plane_terms,
     _scan_residuals,
     _square_residual_arrays,
-    _squared_plus_one,
     lattice_search,
     refine_root,
     sample_perpendicular,
@@ -300,23 +299,19 @@ def test_lattice_overflowing_grid_is_quiet():
     assert report.hits == () and report.violations == () and report.scanned == 81
 
 
-def test_jacobian_basis_is_exact():
+def test_newton_step_solves_the_newton_equation():
+    # the closed-form step solves J delta = -F with J = L(x) + R(x), the
+    # Jacobian of x -> x^2 + 1, wherever J is invertible
     rng = np.random.default_rng(109)
     eye = np.eye(8)
-    for _ in range(100):
+    for _ in range(1000):
         x = rng.uniform(-3, 3, 8)
-        want = np.array(mul_coefficients(x, eye)) + np.array(mul_coefficients(eye, x))
-        assert (_jacobian(x) == want).all()
-
-
-def test_jacobian_matches_central_differences():
-    rng = np.random.default_rng(110)
-    h = 1e-6
-    for _ in range(100):
-        x = rng.uniform(-3, 3, 8)
-        columns = [(_squared_plus_one(x + h * e)[0] - _squared_plus_one(x - h * e)[0])
-                   / (2 * h) for e in np.eye(8)]
-        assert np.allclose(_jacobian(x), np.column_stack(columns), rtol=0, atol=1e-6)
+        jac = np.array(mul_coefficients(x, eye)) + np.array(mul_coefficients(eye, x))
+        f = np.array(mul_coefficients(x, x)) + eye[0]
+        step = np.array(_newton_step(x.tolist()))
+        assert np.abs(jac @ step + f).max() <= 1e-12 * (1.0 + x @ x)
+        want = np.linalg.solve(jac, -f)
+        assert np.abs(step - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_refine_exact_root_returned_unchanged():
@@ -361,27 +356,25 @@ def test_refine_residual_is_square_residual():
         noisy = Biquaternion.from_coefficients(
             *(np.array(q.coefficients()) + rng.uniform(-1e-3, 1e-3, 8)))
         assert square_residual(refine_root(noisy)) <= 1e-12
-        f, residual = _squared_plus_one(np.array(noisy.coefficients()))
-        assert residual == square_residual(noisy) == math.hypot(*f)
 
 
 def _count_residuals(monkeypatch):
     calls = []
-    original = oracle._squared_plus_one
-    monkeypatch.setattr(oracle, "_squared_plus_one",
+    original = oracle.square_residual
+    monkeypatch.setattr(oracle, "square_residual",
                         lambda x: calls.append(x) or original(x))
     return calls
 
 
 def test_refine_halves_an_overlong_step(monkeypatch):
-    lstsq = np.linalg.lstsq
+    newton_step = oracle._newton_step
     steps = []
 
-    def overlong(a, b, rcond):
-        steps.append(4.0 * lstsq(a, b, rcond=rcond)[0])
-        return (steps[-1],)
+    def overlong(x):
+        steps.append(tuple(4.0 * d for d in newton_step(x)))
+        return steps[-1]
 
-    monkeypatch.setattr(np.linalg, "lstsq", overlong)
+    monkeypatch.setattr(oracle, "_newton_step", overlong)
     calls = _count_residuals(monkeypatch)
     refined = refine_root(_noisy_root())
     assert square_residual(refined) <= 1e-12
@@ -390,7 +383,7 @@ def test_refine_halves_an_overlong_step(monkeypatch):
 
 
 def test_refine_reports_a_step_that_never_reduces(monkeypatch):
-    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: (np.zeros(8),))
+    monkeypatch.setattr(oracle, "_newton_step", lambda x: (0.0,) * 8)
     calls = _count_residuals(monkeypatch)
     noisy = _noisy_root()
     with pytest.raises(NonConvergenceError, match="failed to reduce") as excinfo:
@@ -398,6 +391,43 @@ def test_refine_reports_a_step_that_never_reduces(monkeypatch):
     assert excinfo.value.best == noisy
     assert excinfo.value.residual == square_residual(noisy)
     assert len(calls) == 1 + 30   # q0, then 30 halvings of the zero step
+
+
+def test_refine_radial_perturbation_returns_to_the_root():
+    # Newton maps lambda*r to ((lambda + 1/lambda)/2)*r, so the scaled root
+    # comes back to r itself, not to a neighbouring root
+    r = make_nontrivial_root(MU_I, NU_J, 1.0)
+    refined = refine_root(Biquaternion.from_coefficients(
+        *(1.02 * c for c in r.coefficients())))
+    assert square_residual(refined) <= 1e-12
+    assert math.dist(refined.coefficients(), r.coefficients()) <= 1e-12
+    classification = classify_root(refined)
+    assert isinstance(classification, Nontrivial)
+    assert abs(classification.t - 1.0) <= 1e-12
+
+
+def test_refine_scaled_unit_pure_keeps_zero_scalar_parts():
+    mu = sample_unit_pure(np.random.default_rng(112))
+    q = Biquaternion.from_coefficients(0.0, 1.02 * mu.x, 1.02 * mu.y, 1.02 * mu.z,
+                                       0.0, 0.0, 0.0, 0.0)
+    refined = refine_root(q)
+    assert square_residual(refined) <= 1e-12
+    assert refined.qr.w == 0.0 and refined.qi.w == 0.0
+    classification = classify_root(refined)
+    assert isinstance(classification, UnitPure)
+    assert math.dist((classification.mu.x, classification.mu.y, classification.mu.z),
+                     (mu.x, mu.y, mu.z)) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_refine_noisy_imaginary_unit(sign):
+    rng = np.random.default_rng(113)
+    for _ in range(250):
+        coeffs = rng.uniform(-1e-2, 1e-2, 8).tolist()
+        coeffs[4] += sign
+        refined = refine_root(Biquaternion.from_coefficients(*coeffs))
+        assert square_residual(refined) <= 1e-12
+        assert classify_root(refined) == ImaginaryUnit(sign)
 
 
 def test_term_table_five_by_five():
