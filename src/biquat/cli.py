@@ -244,11 +244,11 @@ def _cmd_make_root(args) -> int:
 def _cmd_sample(args) -> int:
     import numpy as np
 
-    from .oracle import sample_root
+    from .oracle import check_t_max, sample_root
 
     if args.count < 0:
         raise ParseError(f"--count must be nonnegative, got {args.count}")
-    check_tolerance("t_max", args.t_max)   # also when no root is drawn
+    check_t_max(args.t_max)   # before any draw, whatever the seed and count
     line = _coefficients_formatter(args)
     rng = np.random.default_rng(args.seed)
     for _ in range(args.count):

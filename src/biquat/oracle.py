@@ -11,13 +11,14 @@ probes it numerically, desk-scale, from three directions:
   manifold ``{q : q^2 = -1}``, after which the landing point must
   classify into a known family.
 
-The census scan squares through ``algebra.hamilton``, the one copy of
-the product formula, on coefficient arrays, and Newton measures its
-iterates by ``algebra.square_residual``. The scan takes the products of
-one (c, d) plane once and scores every (a, b) from them by bilinearity
-alone, with none of the closed forms of ``roots``; its residuals differ
-from the scalar route by roundoff, so each point near the tolerance is
-decided by ``classify_coefficients``.
+The census scan writes the squared residual |q^2 + 1|^2 as a dot
+product of nine features of (a, b) with nine features of (c, d), both
+built once per scan through ``algebra.hamilton``, the one copy of the
+product formula, with none of the closed forms of ``roots``; each value
+of a is then one matrix product. Its values differ from the scalar route
+by roundoff, so each point near the tolerance is decided by
+``classify_coefficients``. Newton measures its iterates by
+``algebra.square_residual``.
 
 All sampling is reproducible: a run is fully determined by the seed and
 parameters. The lattice scan reports hits in lattice index order (a
@@ -26,7 +27,6 @@ outermost, then b, c, d).
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,6 +53,24 @@ _MAX_LATTICE_POINTS = 100_000_000
 _NEWTON_ITERATIONS = 25
 _NEWTON_TARGET = 1e-12
 _NEWTON_BASIN = 0.1
+_T_MAX = math.acosh(sys.float_info.max)   # the largest t whose cosh is finite
+
+# Error of the scan's squared residual, in units of eps (|q|^2 + 1)^2.
+# The nine terms F_j G_j of ``_scan_residuals`` have moduli adding up to
+#   |h|^2 + 2|h||t0| + |t0|^2 + 4|qi|^2 (|a| + |b|)^2
+#   <= (|q|^2 + 1)^2 + 8 |qr|^2 |qi|^2 <= 3 (|q|^2 + 1)^2,
+# with |h| = |qr|^2, |t0| <= 1 + |qi|^2 and |t1|, |t2| <= 2|qi|. Each
+# feature is a sum of at most four products of Hamilton products of the
+# stored floats, and to first order lies within 27 eps of its exact value
+# at the scale of its term: 20 eps for |h|^2, 24 for |t0|^2 and |t2|^2,
+# plus one rounding of a^2, 2ab or b^2 and 2 eps for using b and mu apart
+# where the scalar route uses their rounded product. The 9-term dot
+# product adds gamma_9 ~ 9 eps in any summation order (Higham, Accuracy and
+# Stability of Numerical Algorithms, 3.1). So the scan value is within
+# (27 + 9) * 3 = 108 eps (|q|^2 + 1)^2 of the exact squared residual; the
+# constant more than doubles that, for the eps^2 terms and for |mu| and
+# |nu| being 1 only to within 1e-9.
+_SCAN_ERROR = 256.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -96,9 +114,20 @@ def sample_perpendicular(mu: PureUnit, rng: np.random.Generator) -> PureUnit:
     return PureUnit.from_vector(w.x - s * mu.x, w.y - s * mu.y, w.z - s * mu.z)
 
 
-def sample_root(rng: np.random.Generator, t_max: float) -> Biquaternion:
-    """Draw a random nontrivial root with t uniform in (0, t_max], t_max finite."""
+def check_t_max(t_max: float) -> None:
+    """Reject a t_max that is not finite and positive, or whose cosh overflows.
+
+    Checking the bound, not each draw, makes the verdict independent of the seed.
+    """
     check_tolerance("t_max", t_max)
+    if t_max > _T_MAX:
+        raise ValueError(f"t_max must be at most acosh(DBL_MAX) = {_T_MAX!r}, "
+                         f"got {t_max!r}")
+
+
+def sample_root(rng: np.random.Generator, t_max: float) -> Biquaternion:
+    """Draw a random nontrivial root with t uniform in (0, t_max]; see ``check_t_max``."""
+    check_t_max(t_max)
     mu = sample_unit_pure(rng)
     nu = sample_perpendicular(mu, rng)
     t = t_max * (1.0 - rng.random())
@@ -180,40 +209,36 @@ def _plane_terms(mu: PureUnit, qi) -> np.ndarray:
     return terms
 
 
-def _square_residual_arrays(a: float, b: float, mu: PureUnit, terms: np.ndarray,
-                            buf: np.ndarray) -> np.ndarray:
-    """Euclidean norm of q^2 + 1 over a plane, at the real part a + b*mu.
-
-    The scan kernel: ``terms`` comes from ``_plane_terms`` and ``buf`` is
-    an (8, P) scratch array that receives the coefficients of q^2 + 1.
-    Only ``qr*qr`` is a product here, on four floats; the rest combines the
-    plane's terms by bilinearity alone. The operation order is not that of
-    ``mul_coefficients``, so each residual differs from the scalar
-    ``algebra.square_residual`` by roundoff, within 20 eps (|q|^2 + 1).
-    Points whose square overflows come out inf or nan (callers silence the
-    warnings).
-    """
-    qr = (a, b * mu.x, b * mu.y, b * mu.z)
-    np.add(np.array(hamilton(qr, qr))[:, None], terms[0], out=buf[:4])
-    np.multiply(terms[1], a, out=buf[4:])
-    buf[4:] += b * terms[2]
-    res = np.einsum("ij,ij->j", buf, buf)
-    return np.sqrt(res, out=res)
-
-
 def _scan_residuals(spec: LatticeSpec):
-    """Yield ``(a, b, residuals)`` for every (a, b), a outermost.
+    """Yield ``(a, res2)`` for every value of a, in axis order.
 
-    ``residuals`` is a fresh array over the (c, d) plane, c outermost, from
-    ``_square_residual_arrays``; the plane's terms are built once per scan.
+    ``res2`` is an (n, n*n) array of squared residuals |q^2 + 1|^2: row
+    b, column c*n + d. With h = qr*qr and ``_plane_terms`` t0, t1, t2,
+    |q^2 + 1|^2 = |h + t0|^2 + |a*t1 + b*t2|^2 is the dot product of the
+    (a, b) features [|h|^2, 2h_0..2h_3, 1, a^2, 2ab, b^2] with the (c, d)
+    features [1, t0_0..t0_3, |t0|^2, |t1|^2, t1.t2, |t2|^2]. Both tables
+    are built once per scan, from ``algebra.hamilton`` on the stored
+    floats, so each value of a costs one matrix product. The expansion
+    cancels: res2 may be negative near a root, and differs from the exact
+    value by up to ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. Points whose square
+    overflows come out inf or nan (callers silence the warnings). The
+    array is overwritten by the next value of a.
     """
     axis = spec.axis()
-    nu = spec.nu
-    cc, dd = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-    terms = _plane_terms(spec.mu, (cc, dd * nu.x, dd * nu.y, dd * nu.z))
-    buf = np.empty((8, cc.size))
-    for a, b in itertools.product(axis.tolist(), repeat=2):
-        yield a, b, _square_residual_arrays(a, b, spec.mu, terms, buf)
+    n = axis.size
+    mu, nu = spec.mu, spec.nu
+    # the first axis outermost: (c, d) for the plane, (a, b) for the rows
+    x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    t0, t1, t2 = _plane_terms(mu, (x, y * nu.x, y * nu.y, y * nu.z))
+    plane = np.stack((np.ones_like(x), *t0, (t0 * t0).sum(0), (t1 * t1).sum(0),
+                      (t1 * t2).sum(0), (t2 * t2).sum(0)))
+    qr = (x, y * mu.x, y * mu.y, y * mu.z)
+    h = np.array(hamilton(qr, qr))
+    rows = np.stack(((h * h).sum(0), *(2.0 * h), np.ones_like(x),
+                     x * x, 2.0 * x * y, y * y), axis=-1).reshape(n, n, 9)
+    res2 = np.empty((n, n * n))
+    for a, row in zip(axis.tolist(), rows):
+        yield a, np.matmul(row, plane, out=res2)
 
 
 def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
@@ -225,14 +250,15 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     family is a reportable finding, recorded in ``violations`` rather
     than raised. ``tol`` must be finite and positive.
 
-    The scan builds the products of one (c, d) plane with itself and with
-    mu once, then scores each (a, b), a outermost, by combining them
-    bilinearly with the real part ``a + b*mu`` (see ``_plane_terms``); it
-    uses no closed form of ``roots``. Its residuals differ from the scalar
-    route by roundoff, so every point within a roundoff margin of ``tol``
-    is re-checked by ``classify_coefficients``, whose residual alone
-    decides a hit. Hits come in lattice index order (a, then b, c, d),
-    and the working set is one plane, whatever the grid.
+    The scan writes |q^2 + 1|^2 as a dot product of nine features of
+    (a, b) with nine features of (c, d) (see ``_scan_residuals``), both
+    built once by ``algebra.hamilton`` with no closed form of ``roots``,
+    so each value of a costs one matrix product. Its squared residuals
+    differ from the scalar route by roundoff, so every point within a
+    roundoff margin of ``tol`` is re-checked by ``classify_coefficients``,
+    whose residual alone decides a hit. Hits come in lattice index order
+    (a, then b, c, d), and the working set is one a-slice of n^3 doubles
+    (8 MB at the point cap), whatever the grid.
     """
     check_tolerance("tol", tol)
     total_points = spec.point_count()
@@ -240,21 +266,28 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
         raise ValueError(
             f"grid of {total_points} points exceeds the {_MAX_LATTICE_POINTS} cap")
 
-    # On the grid |q|^2 <= 4 bound^2, and the kernel residual is within
-    # 20 eps (|q|^2 + 1) of the scalar one; so every point within the margin
-    # below is re-checked by the scalar route, which alone decides a hit.
-    # The cap keeps residuals that overflowed to inf out.
-    margin = 64.0 * sys.float_info.epsilon * (4.0 * spec.bound * spec.bound + 1.0)
-    cut = min(tol + margin, sys.float_info.max)
+    # On the grid |q|^2 + 1 <= s = 4 bound^2 + 1. The scalar residual is
+    # within 64 eps s of the exact one r (each coefficient of q^2 is an
+    # 8-term sum of products whose moduli add up to at most |q|^2), so a
+    # hit has r <= tol + 64 eps s, and its scan value res2 is within
+    # _SCAN_ERROR eps s^2 of r^2. Every point under the cut below is
+    # re-checked by the scalar route, which alone decides a hit; res2 is
+    # compared squared, as it may be negative. Products, not powers, so
+    # that a huge grid gives inf rather than OverflowError; the clamp
+    # keeps residuals that overflowed to inf out.
+    eps = sys.float_info.epsilon
+    s = 4.0 * spec.bound * spec.bound + 1.0
+    near = tol + 64.0 * eps * s
+    cut2 = min(near * near + _SCAN_ERROR * eps * s * s, sys.float_info.max)
     mu, nu = spec.mu, spec.nu
     values = spec.axis().tolist()
     n = len(values)
     hits: list[LatticeHit] = []
     violations: list[str] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, res in _scan_residuals(spec):
-            for idx in (res <= cut).nonzero()[0].tolist():
-                c, d = values[idx // n], values[idx % n]
+        for a, res2 in _scan_residuals(spec):
+            for idx in np.flatnonzero(res2 <= cut2).tolist():
+                b, c, d = values[idx // (n * n)], values[idx // n % n], values[idx % n]
                 coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
                 try:
                     classification, residual = classify_coefficients(coeffs, tol)

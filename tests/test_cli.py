@@ -191,6 +191,16 @@ def test_sample_rejects_bad_t_max_without_drawing(capsys, t_max):
                             f"got {float(t_max)!r}\n")
 
 
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_sample_rejects_t_max_whose_cosh_overflows(capsys, seed):
+    # a usage error before any draw; it used to depend on the seed
+    assert main(["sample", "--t-max", "800", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: t_max must be at most acosh(DBL_MAX) = "
+                            "710.4758600739439, got 800.0\n")
+
+
 def test_sample_is_deterministic(capsys):
     assert main(["sample", "--seed", "42", "--count", "5"]) == 0
     first = capsys.readouterr().out
@@ -290,6 +300,15 @@ def test_lattice_rejects_bad_grid(capsys):
     assert "integer" in capsys.readouterr().err
     assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0", "--bound", "inf"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_lattice_overflowing_grid_is_an_empty_census(capsys):
+    # the squared residuals of the nonzero points overflow; no traceback
+    assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0",
+                 "--bound", "1e100", "--step", "1e100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("scanned 81 points") and "0 hits" in captured.out
+    assert captured.err == ""
 
 
 def test_lattice_violation_exits_three(monkeypatch, capsys):

@@ -25,10 +25,9 @@ from biquat.oracle import (
     LatticeHit,
     LatticeSpec,
     NonConvergenceError,
+    _SCAN_ERROR,
     _newton_step,
-    _plane_terms,
     _scan_residuals,
-    _square_residual_arrays,
     lattice_search,
     refine_root,
     sample_perpendicular,
@@ -125,6 +124,19 @@ def test_sample_root_properties():
             sample_root(rng, bad)
 
 
+def test_sample_root_checks_t_max_before_drawing():
+    # cosh overflows just above acosh(DBL_MAX): t_max up to there draws
+    # finite roots, and above it is refused whatever the seed, before a draw
+    t_top = math.acosh(sys.float_info.max)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        assert all(map(math.isfinite, sample_root(rng, t_top).coefficients()))
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at most acosh"):
+        sample_root(rng, math.nextafter(t_top, math.inf))
+    assert rng.bit_generator.state == state
+
+
 def test_sample_root_residuals_stay_small():
     rng = np.random.default_rng(106)
     worst = max((biquat_mul(q, q) + 1.0).coefficient_norm()
@@ -218,10 +230,11 @@ def test_lattice_search_matches_brute_force():
     rng = np.random.default_rng(108)
     mu = sample_unit_pure(rng)
     # a perpendicular and a skew pair off the axes (b = +/-1 and c = +/-1
-    # are the hits), and the 81-point grid whose nonzero squares overflow
+    # are the hits), and two 81-point grids whose nonzero squares overflow
     cases = ((LatticeSpec(1.0, 0.25, mu, sample_perpendicular(mu, rng)), 4),
              (LatticeSpec(1.0, 0.25, mu, sample_unit_pure(rng)), 4),
-             (LatticeSpec(1e200, 1e200, MU_I, NU_J), 0))
+             (LatticeSpec(1e200, 1e200, MU_I, NU_J), 0),
+             (LatticeSpec(1e100, 1e100, MU_I, NU_J), 0))
     for spec, hit_count in cases:
         report = lattice_search(spec, 1e-9)
         assert report.hits == _brute_force_hits(spec, 1e-9)
@@ -229,22 +242,35 @@ def test_lattice_search_matches_brute_force():
         assert report.scanned == len(spec.axis()) ** 4
 
 
+def test_lattice_filter_keeps_every_scalar_hit_at_large_tol():
+    # the filter widens the cut by the scan's error bound; whatever tol,
+    # it must pass every point the scalar route accepts
+    rng = np.random.default_rng(110)
+    mu = sample_unit_pure(rng)
+    for nu in (sample_perpendicular(mu, rng), sample_unit_pure(rng)):
+        spec = LatticeSpec(1.0, 0.25, mu, nu)
+        for tol in (1e-9, 0.0625, 0.5, 4.0):
+            report = lattice_search(spec, tol)
+            assert report.hits == _brute_force_hits(spec, tol)
+            assert report.violations == ()
+
+
 def test_scan_kernel_matches_scalar_route():
-    # one plane of 500 random (c, d); entry k is scored at row k's (a, b)
+    # the bound behind lattice_search's cut, at random points of random
+    # direction pairs: |square_residual^2 - res2| <= C eps (|q|^2 + 1)^2
     rng = np.random.default_rng(107)
-    mu, nu = sample_unit_pure(rng), sample_unit_pure(rng)
-    coeffs = rng.uniform(-5, 5, (500, 4))
-    cc, dd = coeffs[:, 2], coeffs[:, 3]
-    terms = _plane_terms(mu, (cc, dd * nu.x, dd * nu.y, dd * nu.z))
-    buf = np.empty((8, len(coeffs)))
-    for k, (a, b, c, d) in enumerate(coeffs.tolist()):
-        expected = _square_residual_arrays(a, b, mu, terms, buf)[k]
-        q = Biquaternion.from_coefficients(a, b * mu.x, b * mu.y, b * mu.z,
-                                           c, d * nu.x, d * nu.y, d * nu.z)
-        scalar = (biquat_mul(q, q) + 1.0).coefficient_norm()
-        assert abs(scalar - expected) <= 1e-12 * max(1.0, scalar)
-        # the bound behind lattice_search's re-check margin
-        assert abs(scalar - expected) <= 20 * EPS * (a * a + b * b + c * c + d * d + 1.0)
+    for bound, step in ((2.0, 0.25), (3.5, 0.125), (1.5, 0.5)):
+        mu, nu = sample_unit_pure(rng), sample_unit_pure(rng)
+        spec = LatticeSpec(bound, step, mu, nu)
+        values = spec.axis().tolist()
+        n = len(values)
+        for a, res2 in _scan_residuals(spec):
+            for idx in rng.integers(0, res2.size, 40).tolist():
+                b, c, d = values[idx // (n * n)], values[idx // n % n], values[idx % n]
+                coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
+                scalar = square_residual(coeffs)
+                size = sum(v * v for v in coeffs) + 1.0
+                assert abs(scalar * scalar - res2.flat[idx]) <= _SCAN_ERROR * EPS * size * size
 
 
 def test_lattice_ties_are_decided_by_the_scalar_route():
@@ -282,7 +308,9 @@ def test_scan_hits_are_separated_from_misses(bound, step, nu):
     n = len(index)
     hits = {(index[h.a] * n + index[h.b]) * n * n + index[h.c] * n + index[h.d]
             for h in report.hits}
-    residuals = np.concatenate([res for _, _, res in _scan_residuals(spec)])
+    # each block is copied: the scan overwrites it for the next value of a
+    res2 = np.concatenate([block.ravel().copy() for _, block in _scan_residuals(spec)])
+    residuals = np.sqrt(np.clip(res2, 0.0, None))
     assert residuals.size == report.scanned
     missed = np.ones(residuals.size, dtype=bool)
     missed[list(hits)] = False
@@ -291,12 +319,14 @@ def test_scan_hits_are_separated_from_misses(bound, step, nu):
 
 
 def test_lattice_overflowing_grid_is_quiet():
-    # every nonzero point's square overflows; such points are misses, not warnings
-    spec = LatticeSpec(1e200, 1e200, MU_I, NU_J)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = lattice_search(spec)
-    assert report.hits == () and report.violations == () and report.scanned == 81
+    # every nonzero point's square (or its squared residual) overflows;
+    # such points are misses, not warnings or errors
+    for size in (1e200, 1e100):
+        spec = LatticeSpec(size, size, MU_I, NU_J)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = lattice_search(spec)
+        assert report.hits == () and report.violations == () and report.scanned == 81
 
 
 def test_newton_step_solves_the_newton_equation():
