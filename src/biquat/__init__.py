@@ -23,7 +23,6 @@ from .algebra import (
     dot_cross,
     format_terms,
     quat_mul,
-    scalar_vector_split,
     term_table,
 )
 from .roots import (
@@ -41,7 +40,6 @@ from .roots import (
     constraint_residuals,
     decompose,
     make_nontrivial_root,
-    recover_parameter,
 )
 
 __version__ = "0.1.0"
@@ -84,11 +82,9 @@ __all__ = [
     "lattice_search",
     "make_nontrivial_root",
     "quat_mul",
-    "recover_parameter",
     "refine_root",
     "sample_perpendicular",
     "sample_root",
     "sample_unit_pure",
-    "scalar_vector_split",
     "term_table",
 ]

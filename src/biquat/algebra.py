@@ -281,11 +281,6 @@ def square_residual(q: Biquaternion | Sequence[float]) -> float:
     return math.inf if math.isnan(residual) else residual
 
 
-def scalar_vector_split(q: Quaternion) -> tuple[float, Quaternion]:
-    """Split into (scalar part, pure vector part); the two re-add to q exactly."""
-    return q.w, Quaternion(0.0, q.x, q.y, q.z)
-
-
 def dot_cross(u: Quaternion, v: Quaternion) -> tuple[float, Quaternion]:
     """Dot and cross product of two pure quaternions.
 

@@ -83,9 +83,13 @@ def parse_coefficients(text: str) -> list[float]:
             for pos, entry in enumerate(part):
                 if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                     raise ParseError(f'"{key}"[{pos}]: {entry!r} is not a number')
-                if not math.isfinite(entry):
+                try:
+                    value = float(entry)   # OverflowError: an int beyond the double range
+                except OverflowError:
+                    value = math.inf
+                if not math.isfinite(value):
                     raise ParseError(f'"{key}"[{pos}]: {entry!r} is not finite')
-                coeffs.append(float(entry))
+                coeffs.append(value)
         return coeffs
 
     tokens = stripped.split()

@@ -7,9 +7,9 @@ probes it numerically, desk-scale, from three directions:
 * an exhaustive lattice census over the decomposed coefficients
   (a, b, c, d) with fixed directions, covering both the perpendicular
   and the non-perpendicular direction case;
-* Newton refinement that projects perturbed points back onto the
-  manifold ``{q : q^2 = -1}``, after which the landing point must
-  classify into a known family.
+* Newton refinement, which converges onto the manifold
+  ``{q : q^2 = -1}`` from almost any start, after which the landing
+  point must classify into a known family.
 
 The census scan writes the squared residual |q^2 + 1|^2 as a dot
 product of nine features of (a, b) with nine features of (c, d), both
@@ -52,7 +52,6 @@ from .roots import (
 _MAX_LATTICE_POINTS = 100_000_000
 _NEWTON_ITERATIONS = 25
 _NEWTON_TARGET = 1e-12
-_NEWTON_BASIN = 0.1
 _T_MAX = math.acosh(sys.float_info.max)   # the largest t whose cosh is finite
 
 # Error of the scan's squared residual, in units of eps (|q|^2 + 1)^2.
@@ -74,7 +73,8 @@ _SCAN_ERROR = 256.0
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton missed its target; carries its best iterate ``.best`` and ``.residual``."""
+    """Newton missed its target; carries its last finite iterate ``.best``
+    and that iterate's ``square_residual`` as ``.residual``."""
 
     def __init__(self, best: Biquaternion, residual: float, message: str):
         super().__init__(f"{message} (best residual {residual!r})")
@@ -314,47 +314,42 @@ def _newton_step(x) -> tuple[float, ...]:
 
 
 def refine_root(q0: Biquaternion) -> Biquaternion:
-    """Newton-project a near-root onto the manifold ``{q : q^2 = -1}``.
+    """Newton-iterate from any start onto the manifold ``{q : q^2 = -1}``.
 
     Newton's equation q*delta + delta*q = -(q^2 + 1) has the closed-form
     solution delta = -(q + q^-1)/2, so each iterate is the Newton point
-    (q - q^-1)/2, the sign-function iteration of matrix analysis, computed
-    on plain floats through the complex view (see ``_newton_step``). It
-    needs N = w^2 + v.v != 0, which holds in the basin: at N = 0 the
-    residual is at least sqrt(|1 + 2 w^2|^2 + 4 |w|^4) >= 0.707, and
-    accepted steps only lower the residual. A step that fails to lower it
-    is halved.
+    (q - q^-1)/2, computed on plain floats through the complex view (see
+    ``_newton_step``). As a 2x2 complex matrix q has eigenvalues
+    w +/- sqrt(-v.v), and each maps to (lambda - 1/lambda)/2: this is the
+    sign-function iteration of matrix analysis, which converges globally
+    (Higham, Functions of Matrices, ch. 5). An eigenvalue in the upper
+    half-plane goes to +i and one in the lower to -i; so q lands on +I or
+    -I when both lie on one side, and on the nontrivial or unit-pure family
+    when they lie on opposite sides. Only starts with a real eigenvalue, a
+    set of measure zero, fail.
 
-    Residuals are ``square_residual``'s. Inputs above the basin 0.1 raise
-    ``ValueError``: far from the manifold Newton has no convergence story.
-    The target is 1e-12; inputs already there come back unchanged, and 25
-    iterations short of it raise ``NonConvergenceError``.
+    Residuals are ``square_residual``'s. The target is 1e-12; inputs
+    already there come back unchanged. ``NonConvergenceError`` is raised
+    when an iterate is singular (N = w^2 + v.v = 0), when a step gives a
+    non-finite iterate, or after 25 iterations short of the target.
     """
     x = q0.coefficients()
     residual = square_residual(x)
-    if residual > _NEWTON_BASIN:
-        raise ValueError(f"initial residual {residual!r} outside the refinement "
-                         f"basin {_NEWTON_BASIN!r}")
     if residual <= _NEWTON_TARGET:
         return q0
 
+    message = f"no convergence within {_NEWTON_ITERATIONS} iterations"
     for _ in range(_NEWTON_ITERATIONS):
-        step = _newton_step(x)
-        scale = 1.0
-        for _ in range(30):
-            x_new = tuple(c + scale * d for c, d in zip(x, step))
-            residual_new = square_residual(x_new)
-            if residual_new < residual:
-                break
-            scale *= 0.5
-        else:
-            raise NonConvergenceError(
-                Biquaternion.from_coefficients(*x), residual,
-                "damped Newton step failed to reduce the residual")
-        x, residual = x_new, residual_new
+        try:
+            x_new = tuple(c + d for c, d in zip(x, _newton_step(x)))
+        except ZeroDivisionError:
+            message = "singular iterate, w^2 + v.v = 0"
+            break
+        if not all(map(math.isfinite, x_new)):
+            message = "non-finite Newton iterate"
+            break
+        x, residual = x_new, square_residual(x_new)
         if residual <= _NEWTON_TARGET:
             return Biquaternion.from_coefficients(*x)
 
-    raise NonConvergenceError(
-        Biquaternion.from_coefficients(*x), residual,
-        f"no convergence within {_NEWTON_ITERATIONS} iterations")
+    raise NonConvergenceError(Biquaternion.from_coefficients(*x), residual, message)

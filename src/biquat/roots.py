@@ -291,11 +291,3 @@ def classify_coefficients(c: Sequence[float],
         raise TheoremViolationError(Biquaternion.from_coefficients(*c), residual, failures)
     return Nontrivial(form.mu, form.nu, math.asinh(form.d)), residual
 
-
-def recover_parameter(classification: Nontrivial) -> tuple[float, float, float]:
-    """Return the moduli (b, d) = (cosh t, sinh t) and t of a nontrivial root."""
-    if not isinstance(classification, Nontrivial):
-        raise TypeError(
-            f"expected a Nontrivial classification, got {type(classification).__name__}")
-    t = classification.t
-    return math.cosh(t), math.sinh(t), t

@@ -191,7 +191,8 @@ def test_criterion_8_newton_completeness_probe():
     # t >= 0.01 keeps the probe off the d ~ 0 boundary, where a refined
     # point's nu direction is noise-amplified beyond what perpendicularity
     # certification at 1e-9 can confirm; t <= 3 keeps the 1e-3 perturbation
-    # inside the refinement basin (initial residual ~ 2 cosh(t) |noise|)
+    # small next to the root (initial residual ~ 2 cosh(t) |noise|), so
+    # Newton lands back on the perturbed root's own family
     rng = np.random.default_rng(80)
     start = time.perf_counter()
     worst = 0.0

@@ -12,7 +12,6 @@ from biquat.algebra import (
     dot_cross,
     mul_coefficients,
     quat_mul,
-    scalar_vector_split,
     square_residual,
 )
 from oracles import _to_complex, complex_hamilton, square_via_complex_view
@@ -169,21 +168,6 @@ def test_complex_components_round_trip_is_exact():
         q = rand_biquat(rng)
         assert q.complex_components() == _to_complex(q.coefficients())
         assert Biquaternion.from_complex_components(*q.complex_components()) == q
-
-
-def test_scalar_vector_split():
-    s, v = scalar_vector_split(Quaternion(2.5, -3.0, 0, 0))
-    assert s == 2.5 and v == Quaternion(0, -3.0, 0, 0)
-    s, v = scalar_vector_split(Quaternion(0, 1, 1, 1))
-    assert s == 0.0 and v == I + J + K
-    s, v = scalar_vector_split(Quaternion(5, 0, 0, 0))
-    assert s == 5.0 and v == Quaternion(0, 0, 0, 0)
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        q = rand_quat(rng)
-        s, v = scalar_vector_split(q)
-        assert v.w == 0.0
-        assert Quaternion(s, 0, 0, 0) + v == q
 
 
 def test_dot_cross_examples():

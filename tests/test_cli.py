@@ -45,6 +45,7 @@ from biquat.roots import (
 )
 
 SQRT2_ROOT = "0 1.4142135623730951 0 0 0 0 1 0"
+HUGE_INT_JSON = f'{{"qr": [{10 ** 400}, 0, 0, 0], "qi": [0, 0, 0, 0]}}'
 
 
 def test_parse_text_form():
@@ -75,6 +76,8 @@ def test_parse_errors_carry_position():
         parse_biquaternion("{ not json }")
     with pytest.raises(ParseError, match=re.escape('"qr"[0]: inf is not finite')):
         parse_biquaternion('{"qr": [Infinity, 0, 0, 0], "qi": [0, 0, 0, 0]}')
+    with pytest.raises(ParseError, match=re.escape(f'"qr"[0]: {10 ** 400} is not finite')):
+        parse_biquaternion(HUGE_INT_JSON)
 
 
 def test_format_parse_closure():
@@ -112,6 +115,14 @@ def test_classify_not_a_root_exits_one(capsys):
     assert capsys.readouterr().out == "not-a-root residual=inf\n"
     assert main(["classify", "1e200 0 0 0 0 0 0 inf"]) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "square", "table"])
+def test_huge_json_integer_is_a_usage_error(capsys, command):
+    assert main([command, HUGE_INT_JSON]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert 'error: "qr"[0]: 1000' in captured.err and "is not finite" in captured.err
 
 
 def test_classify_json(capsys):

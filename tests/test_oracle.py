@@ -1,6 +1,8 @@
+import cmath
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -361,12 +363,18 @@ def test_refine_perturbed_root():
     assert all(type(c) is float for c in refined.coefficients())
 
 
-def test_refine_basin_guard():
-    with pytest.raises(ValueError, match="basin"):
-        refine_root(Biquaternion.from_scalar(1.0))
-    # a square that overflows to nan entries has residual inf, as square_residual says
-    with pytest.raises(ValueError, match="initial residual inf outside"):
-        refine_root(Biquaternion.from_coefficients(1e200, 1e200, 1e200, 1e200, 0, 0, 0, 0))
+@pytest.mark.parametrize("coeffs", [
+    (1.0, 0, 0, 0, 0, 0, 0, 0),          # one step lands on 0, where N = 0
+    (0, 1e-155, 0, 0, 0, 0, 0, 0),       # N is subnormal, so 1/(2N) is inf
+    (0, 0, 0, 0, 0, 0, 0, 0.5),          # 0.5*kI: real eigenvalues +-0.5
+    (1e200, 1e200, 1e200, 1e200, 0, 0, 0, 0),   # the square overflows: residual inf
+], ids=["scalar-one", "subnormal-n", "real-eigenvalues", "overflowing-square"])
+def test_refine_singular_start_reports_nonconvergence(coeffs):
+    with pytest.raises(NonConvergenceError) as excinfo:
+        refine_root(Biquaternion.from_coefficients(*coeffs))
+    best = excinfo.value.best
+    assert all(map(math.isfinite, best.coefficients()))
+    assert excinfo.value.residual == square_residual(best)
 
 
 def test_refine_reports_nonconvergence(monkeypatch):
@@ -388,39 +396,30 @@ def test_refine_residual_is_square_residual():
         assert square_residual(refine_root(noisy)) <= 1e-12
 
 
-def _count_residuals(monkeypatch):
-    calls = []
-    original = oracle.square_residual
-    monkeypatch.setattr(oracle, "square_residual",
-                        lambda x: calls.append(x) or original(x))
-    return calls
-
-
-def test_refine_halves_an_overlong_step(monkeypatch):
-    newton_step = oracle._newton_step
-    steps = []
-
-    def overlong(x):
-        steps.append(tuple(4.0 * d for d in newton_step(x)))
-        return steps[-1]
-
-    monkeypatch.setattr(oracle, "_newton_step", overlong)
-    calls = _count_residuals(monkeypatch)
-    refined = refine_root(_noisy_root())
-    assert square_residual(refined) <= 1e-12
-    # one residual for q0 and one per Newton step would mean no step was halved
-    assert len(calls) > 1 + len(steps)
-
-
-def test_refine_reports_a_step_that_never_reduces(monkeypatch):
-    monkeypatch.setattr(oracle, "_newton_step", lambda x: (0.0,) * 8)
-    calls = _count_residuals(monkeypatch)
-    noisy = _noisy_root()
-    with pytest.raises(NonConvergenceError, match="failed to reduce") as excinfo:
-        refine_root(noisy)
-    assert excinfo.value.best == noisy
-    assert excinfo.value.residual == square_residual(noisy)
-    assert len(calls) == 1 + 30   # q0, then 30 halvings of the zero step
+def test_refine_from_random_starts_lands_where_the_eigenvalues_say():
+    # the Newton point (q - q^-1)/2 maps each eigenvalue w +- sqrt(-v.v) of
+    # q to (lambda - 1/lambda)/2, which keeps its half-plane and goes to
+    # +-i: q lands on +-I when both eigenvalues lie on one side, on the
+    # nontrivial family when they lie on opposite sides
+    rng = np.random.default_rng(0)
+    starts = rng.uniform(-3.0, 3.0, (2000, 8)).tolist()
+    landings = {Nontrivial: 0, ImaginaryUnit: 0}
+    start = time.perf_counter()
+    for x in starts:
+        refined = refine_root(Biquaternion.from_coefficients(*x))
+        assert square_residual(refined) <= 1e-12
+        classification = classify_root(refined)
+        w, v = complex(x[0], x[4]), [complex(x[k], x[k + 4]) for k in (1, 2, 3)]
+        root = cmath.sqrt(-sum(c * c for c in v))
+        sides = {math.copysign(1, (w + root).imag), math.copysign(1, (w - root).imag)}
+        if len(sides) == 1:
+            assert classification == ImaginaryUnit(int(sides.pop()))
+        else:
+            assert isinstance(classification, Nontrivial)
+        landings[type(classification)] += 1
+    elapsed = time.perf_counter() - start
+    assert landings == {Nontrivial: 1271, ImaginaryUnit: 729}
+    assert elapsed < 1.0
 
 
 def test_refine_radial_perturbation_returns_to_the_root():

@@ -19,7 +19,6 @@ from biquat.roots import (
     constraint_residuals,
     decompose,
     make_nontrivial_root,
-    recover_parameter,
 )
 from oracles import square_via_complex_view
 
@@ -387,34 +386,6 @@ def test_certification_is_loud_on_noise_amplified_direction():
     fine = Biquaternion(Quaternion(0, math.cosh(1.0), 0, 0),
                         math.sinh(1.0) * nu_fine.as_quaternion())
     assert isinstance(classify_root(fine), Nontrivial)
-
-
-def test_recover_parameter_examples():
-    b, d, t = recover_parameter(Nontrivial(MU_I, NU_J, math.asinh(1.0)))
-    assert b == pytest.approx(math.sqrt(2), abs=1e-14)
-    assert d == pytest.approx(1.0, abs=1e-14)
-    assert t == math.asinh(1.0)
-
-    b, d, _ = recover_parameter(Nontrivial(MU_I, NU_J, math.asinh(2 * math.sqrt(2))))
-    assert b == pytest.approx(3.0, abs=1e-14)
-    assert d == pytest.approx(2 * math.sqrt(2), abs=1e-14)
-
-    assert recover_parameter(Nontrivial(MU_I, NU_J, 0.0)) == (1.0, 0.0, 0.0)
-
-
-def test_recover_parameter_hyperbolic_identity():
-    rng = np.random.default_rng(16)
-    for _ in range(500):
-        t = rng.uniform(0.0, 3.0)
-        b, d, _ = recover_parameter(Nontrivial(MU_I, NU_J, t))
-        assert abs(b * b - d * d - 1.0) <= 1e-12
-
-
-def test_recover_parameter_rejects_other_variants():
-    with pytest.raises(TypeError):
-        recover_parameter(UnitPure(MU_I))
-    with pytest.raises(TypeError):
-        recover_parameter(NotRoot(2.0))
 
 
 def test_nonfinite_input_is_unrepresentable():
