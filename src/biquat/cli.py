@@ -22,6 +22,7 @@ import os
 import sys
 
 from .algebra import (
+    DEFAULT_TOL,
     Biquaternion,
     PureUnit,
     biquat_mul,
@@ -52,14 +53,28 @@ class ParseError(ValueError):
     """Malformed wire-format input; the message locates the bad token."""
 
 
-def _parse_number(token: str, where: str) -> float:
+def _parse_numbers(text: str, count: int, name: str = "") -> list[float]:
+    """``count`` finite numbers from ``text``; ``name`` prefixes the error messages."""
+    tokens = text.split()
+    if len(tokens) != count:
+        message = f"expected {count} numbers, got {len(tokens)}"
+        raise ParseError(f"{name}: {message}" if name else message)
     try:
-        value = float(token)
+        values = [float(tok) for tok in tokens]
+        if math.isfinite(sum(values)):    # a non-finite entry makes the sum non-finite
+            return values
     except ValueError:
-        raise ParseError(f"{where}: {token!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ParseError(f"{where}: {token!r} is not finite")
-    return value
+        pass
+    # locate the bad token
+    where = f"{name} token" if name else "token"
+    for pos, tok in enumerate(tokens, start=1):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ParseError(f"{where} {pos}: {tok!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{where} {pos}: {tok!r} is not finite")
+    return values   # none is bad: finite values whose sum overflowed
 
 
 def parse_coefficients(text: str) -> list[float]:
@@ -71,7 +86,7 @@ def parse_coefficients(text: str) -> list[float]:
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
             raise ParseError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or set(obj) != {"qr", "qi"}:
             raise ParseError('structured form requires exactly the keys "qr" and "qi"')
@@ -91,18 +106,7 @@ def parse_coefficients(text: str) -> list[float]:
                     raise ParseError(f'"{key}"[{pos}]: {entry!r} is not finite')
                 coeffs.append(value)
         return coeffs
-
-    tokens = stripped.split()
-    if len(tokens) != 8:
-        raise ParseError(f"expected 8 numbers, got {len(tokens)}")
-    try:
-        values = [float(tok) for tok in tokens]
-        if math.isfinite(sum(values)):    # a non-finite entry makes the sum non-finite
-            return values
-    except ValueError:
-        pass
-    # locate the bad token (or accept finite values whose sum overflowed)
-    return [_parse_number(tok, f"token {pos + 1}") for pos, tok in enumerate(tokens)]
+    return _parse_numbers(stripped, 8)
 
 
 def parse_biquaternion(text: str) -> Biquaternion:
@@ -111,19 +115,11 @@ def parse_biquaternion(text: str) -> Biquaternion:
 
 
 def parse_pure_unit(text: str, name: str) -> PureUnit:
-    tokens = text.strip().split()
-    if len(tokens) != 3:
-        raise ParseError(f"{name}: expected 3 numbers, got {len(tokens)}")
-    values = [_parse_number(tok, f"{name} token {pos + 1}")
-              for pos, tok in enumerate(tokens)]
+    values = _parse_numbers(text, 3, name)   # its ParseError carries the name already
     try:
         return PureUnit(*values)
     except ValueError as exc:
         raise ParseError(f"{name}: {exc}") from None
-
-
-def _fmt(value: float, digits: int) -> str:
-    return format(value, f".{digits}g")
 
 
 def _coefficients_template(digits: int) -> str:
@@ -143,9 +139,7 @@ def _coefficients_formatter(args):
 
 
 def _inputs(args):
-    if args.biquaternion:
-        return args.biquaternion
-    return (line for line in map(str.strip, sys.stdin) if line)
+    return args.biquaternion or (line for line in map(str.strip, sys.stdin) if line)
 
 
 def _cmd_square(args) -> int:
@@ -166,8 +160,9 @@ _FAMILY_NAMES = {Nontrivial: "nontrivial", UnitPure: "unit-pure",
                  TheoremViolationError: "theorem-violation"}
 
 
-def _classification_record(result) -> dict:
-    """The JSON record of a classification, without its residual."""
+def _classification_record(result, residual: float) -> dict:
+    """The JSON record of a verdict: its name, its fields, the residual, and
+    for a theorem violation its failures."""
     record = {"family": _FAMILY_NAMES[type(result)]}
     if isinstance(result, Nontrivial):
         record.update(mu=[result.mu.x, result.mu.y, result.mu.z],
@@ -176,6 +171,9 @@ def _classification_record(result) -> dict:
         record["mu"] = [result.mu.x, result.mu.y, result.mu.z]
     elif isinstance(result, ImaginaryUnit):
         record["sign"] = result.sign
+    record["residual"] = residual
+    if isinstance(result, TheoremViolationError):
+        record["failures"] = list(result.failures)
     return record
 
 
@@ -202,6 +200,8 @@ def _classification_line(templates: dict, result, residual: float) -> str:
         values = (mu.x, mu.y, mu.z, residual)
     elif kind is ImaginaryUnit:
         values = (result.sign, residual)
+    elif kind is TheoremViolationError:
+        values = (residual, "; ".join(result.failures))
     else:
         values = (residual,)
     return templates[kind] % values
@@ -215,20 +215,11 @@ def _cmd_classify(args) -> int:
     for text in _inputs(args):
         try:
             result, residual = classify_coefficients(parse_coefficients(text), args.tol)
-        except TheoremViolationError as exc:
-            if args.json:
-                write(json.dumps({"family": _FAMILY_NAMES[TheoremViolationError],
-                                  "residual": exc.residual,
-                                  "failures": list(exc.failures)}) + "\n")
-            else:
-                write(templates[TheoremViolationError]
-                      % (exc.residual, "; ".join(exc.failures)) + "\n")
-            code = max(code, EXIT_VIOLATION)
-            continue
+        except TheoremViolationError as exc:   # a verdict too, written like the others
+            result, residual = exc, exc.residual
+            code = EXIT_VIOLATION
         if args.json:
-            record = _classification_record(result)
-            record["residual"] = residual
-            write(json.dumps(record) + "\n")
+            write(json.dumps(_classification_record(result, residual)) + "\n")
         else:
             write(_classification_line(templates, result, residual) + "\n")
         if type(result) is NotRoot:
@@ -261,16 +252,17 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    d = args.digits
+    g = f"%.{args.digits}g"
+    template = " ".join(f"{name}={g}%s{g}I" for name in "wxyz")
     write = sys.stdout.write
     for text in _inputs(args):
-        parts = zip("wxyz", parse_biquaternion(text).complex_components())
+        parts = parse_biquaternion(text).complex_components()
         if args.json:
-            write(json.dumps({name: [z.real, z.imag] for name, z in parts}) + "\n")
+            write(json.dumps({name: [z.real, z.imag]
+                              for name, z in zip("wxyz", parts)}) + "\n")
         else:
-            write(" ".join(
-                f"{name}={_fmt(z.real, d)}{'-' if z.imag < 0 else '+'}"
-                f"{_fmt(abs(z.imag), d)}I" for name, z in parts) + "\n")
+            write(template % tuple(v for z in parts for v in (
+                z.real, "-" if z.imag < 0 else "+", abs(z.imag))) + "\n")
     return EXIT_OK
 
 
@@ -313,14 +305,13 @@ def _cmd_lattice(args) -> int:
             "violations": list(report.violations),
         }))
     else:
-        print(f"scanned {report.scanned} points at tolerance "
-              f"{_fmt(report.tolerance, args.digits)}: {len(report.hits)} hits, "
-              f"{len(report.violations)} violations")
+        g = f"%.{args.digits}g"
+        print(f"scanned {report.scanned} points at tolerance {g % report.tolerance}: "
+              f"{len(report.hits)} hits, {len(report.violations)} violations")
+        hit = f"hit a={g} b={g} c={g} d={g} residual={g} family=%s"
         for h in report.hits:
             family = _FAMILY_NAMES[type(h.classification)]
-            print(f"hit a={_fmt(h.a, args.digits)} b={_fmt(h.b, args.digits)} "
-                  f"c={_fmt(h.c, args.digits)} d={_fmt(h.d, args.digits)} "
-                  f"residual={_fmt(h.residual, args.digits)} family={family}")
+            print(hit % (h.a, h.b, h.c, h.d, h.residual, family))
         for message in report.violations:
             print(f"violation: {message}")
     if report.violations:
@@ -346,10 +337,6 @@ EXAMPLE3_SUMMANDS = (
 _EXAMPLE_TOL = 1e-12   # the largest coefficient error of a passing example
 
 
-def _max_error(got: Biquaternion, expected: Biquaternion) -> float:
-    return max(abs(g - e) for g, e in zip(got.coefficients(), expected.coefficients()))
-
-
 def _square_through_wire(parts: list[Biquaternion]) -> Biquaternion:
     # sum -> format -> parse -> square -> format -> re-parse; 17 digits are lossless
     q = parse_biquaternion(format_coefficients(sum(parts[1:], parts[0])))
@@ -357,31 +344,29 @@ def _square_through_wire(parts: list[Biquaternion]) -> Biquaternion:
 
 
 def run_examples() -> list[tuple[str, bool, float]]:
-    """Run the three worked examples; returns (description, passed, max error)."""
+    """Run the three worked examples; returns (description, passed, max error).
+
+    Each one's square through the wire format and its term table's total must
+    be -1, and its named table entries (row, column) as given."""
     minus_one = Biquaternion.from_scalar(-1.0)
+    examples = (
+        ("square of sqrt(2)i + jI is -1", [parse_biquaternion(EXAMPLE1_INPUT)], {}),
+        ("square of (i+j+k) + (j-k)I is -1 and its 5x5 term table matches entry for "
+         "entry with total -1", [unit_biquaternion(s) for s in EXAMPLE2_SUMMANDS],
+         {(r, c): unit_biquaternion(symbol) for r, row in enumerate(EXAMPLE2_TABLE)
+          for c, symbol in enumerate(row)}),
+        ("square of 3nu + 2sqrt(2)mu I is -1 with diagonal terms -9 and +8",
+         [parse_biquaternion(t) for t in EXAMPLE3_SUMMANDS],
+         {(0, 0): Biquaternion.from_scalar(-9.0), (1, 1): Biquaternion.from_scalar(8.0)}),
+    )
     results = []
-
-    err = _max_error(_square_through_wire([parse_biquaternion(EXAMPLE1_INPUT)]), minus_one)
-    results.append(("square of sqrt(2)i + jI is -1", err <= _EXAMPLE_TOL, err))
-
-    parts = [unit_biquaternion(s) for s in EXAMPLE2_SUMMANDS]
-    err = _max_error(_square_through_wire(parts), minus_one)
-    table = term_table(parts)
-    for row, expected_row in zip(table.entries, EXAMPLE2_TABLE):
-        for entry, symbol in zip(row, expected_row):
-            err = max(err, _max_error(entry, unit_biquaternion(symbol)))
-    err = max(err, _max_error(table.total, minus_one))
-    results.append(("square of (i+j+k) + (j-k)I is -1 and its 5x5 term table "
-                    "matches entry for entry with total -1", err <= _EXAMPLE_TOL, err))
-
-    parts = [parse_biquaternion(t) for t in EXAMPLE3_SUMMANDS]
-    err = _max_error(_square_through_wire(parts), minus_one)
-    table = term_table(parts)
-    err = max(err, _max_error(table.entries[0][0], Biquaternion.from_scalar(-9.0)))
-    err = max(err, _max_error(table.entries[1][1], Biquaternion.from_scalar(8.0)))
-    err = max(err, _max_error(table.total, minus_one))
-    results.append(("square of 3nu + 2sqrt(2)mu I is -1 with diagonal terms "
-                    "-9 and +8", err <= _EXAMPLE_TOL, err))
+    for description, parts, entries in examples:
+        table = term_table(parts)
+        checks = [(_square_through_wire(parts), minus_one), (table.total, minus_one),
+                  *((table.entries[r][c], want) for (r, c), want in entries.items())]
+        err = max(abs(g - w) for got, want in checks
+                  for g, w in zip(got.coefficients(), want.coefficients()))
+        results.append((description, err <= _EXAMPLE_TOL, err))
     return results
 
 
@@ -408,10 +393,10 @@ def _digits(text: str) -> int:
     return value
 
 
-def _add_common(sub, *, tol=False, digits=True):
-    if tol:
-        sub.add_argument("--tol", type=float, default=1e-9,
-                         help="absolute tolerance (default 1e-9)")
+def _add_common(sub, *, tol="", digits=True):
+    if tol:   # what --tol bounds
+        sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help=f"{tol} (default 1e-9)")
     if digits:
         sub.add_argument("--digits", type=_digits, default=17,
                          help="significant digits in output (default 17)")
@@ -426,15 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("square", help="square a biquaternion")
-    sub.add_argument("biquaternion", nargs="*",
-                     help="8 numbers or JSON; omitted: read lines from stdin")
     _add_common(sub)
     sub.set_defaults(func=_cmd_square)
 
     sub = subs.add_parser("classify", help="classify against the root families")
-    sub.add_argument("biquaternion", nargs="*",
-                     help="8 numbers or JSON; omitted: read lines from stdin")
-    _add_common(sub, tol=True)
+    _add_common(sub, tol="absolute tolerance")
     sub.set_defaults(func=_cmd_classify)
 
     sub = subs.add_parser("make-root", help="construct cosh(t) mu + sinh(t) nu I")
@@ -442,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--nu", required=True,
                      help="3 numbers, unit length, perpendicular to mu")
     sub.add_argument("--t", type=float, required=True, help="hyperbolic parameter")
-    _add_common(sub, tol=True)
+    _add_common(sub, tol="largest |dot(mu, nu)| accepted, 0 allowed")
     sub.set_defaults(func=_cmd_make_root)
 
     sub = subs.add_parser("sample", help="sample random nontrivial roots")
@@ -455,14 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("convert",
                           help="re-print in the complex-components labeling")
-    sub.add_argument("biquaternion", nargs="*",
-                     help="8 numbers or JSON; omitted: read lines from stdin")
     _add_common(sub)
     sub.set_defaults(func=_cmd_convert)
 
     sub = subs.add_parser("table", help="pairwise product table of summands")
-    sub.add_argument("biquaternion", nargs="*", metavar="summand",
-                     help="each summand as 8 numbers or JSON; omitted: stdin lines")
     _add_common(sub)
     sub.set_defaults(func=_cmd_table)
 
@@ -474,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="coefficients range over [-bound, bound] (default 2)")
     sub.add_argument("--step", type=float, default=0.25,
                      help="grid spacing (default 0.25)")
-    _add_common(sub, tol=True)
+    _add_common(sub, tol="absolute tolerance")
     sub.set_defaults(func=_cmd_lattice)
 
     sub = subs.add_parser("verify-examples",
@@ -482,6 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, digits=False)
     sub.set_defaults(func=_cmd_verify_examples)
 
+    # the commands that read biquaternions: as arguments or, without any, stdin lines
+    inputs = (None, "8 numbers or JSON; omitted: read lines from stdin")
+    summands = ("summand", "each summand as 8 numbers or JSON; omitted: stdin lines")
+    for name, (metavar, help_text) in (("square", inputs), ("classify", inputs),
+                                       ("convert", inputs), ("table", summands)):
+        subs.choices[name].add_argument("biquaternion", nargs="*", metavar=metavar,
+                                        help=help_text)
     return parser
 
 

@@ -29,9 +29,6 @@ from .algebra import (
     square_residual,
 )
 
-# Default tolerance for the |dot(mu, nu)| perpendicularity check.
-PERP_TOL = 1e-9
-
 
 class PerpendicularityError(ValueError):
     """Raised when mu and nu are not perpendicular within tolerance.
@@ -154,7 +151,7 @@ def _scaled(factor: float, direction: PureUnit | None) -> tuple[float, float, fl
 
 
 def make_nontrivial_root(mu: PureUnit, nu: PureUnit, t: float,
-                         perp_tol: float = PERP_TOL) -> Biquaternion:
+                         perp_tol: float = DEFAULT_TOL) -> Biquaternion:
     """Construct the nontrivial root ``cosh(t)*mu + sinh(t)*nu*I``.
 
     The hyperbolic identity cosh^2 - sinh^2 = 1 puts the moduli on the

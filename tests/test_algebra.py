@@ -54,6 +54,7 @@ def rand_biquat(rng, scale=10.0):
 def test_hamilton_basis_table_exact():
     for (left, right), product in HAMILTON_TABLE.items():
         assert quat_mul(BASIS[left], BASIS[right]) == _signed(product)
+        assert BASIS[left] * BASIS[right] == _signed(product)
 
 
 def test_identity_element():
@@ -92,6 +93,7 @@ def test_biquat_mul_reduces_to_quat_mul():
     for _ in range(50):
         p, q = rand_quat(rng), rand_quat(rng)
         product = biquat_mul(Biquaternion(p, zero), Biquaternion(q, zero))
+        assert Biquaternion(p, zero) * Biquaternion(q, zero) == product
         assert product.qr == quat_mul(p, q)
         assert product.qi == zero
 
@@ -236,6 +238,22 @@ def test_imaginary_operator_commutes():
     for _ in range(200):
         q = rand_biquat(rng)
         assert biquat_mul(imaginary, q).isclose(biquat_mul(q, imaginary), 1e-12)
+
+
+def test_scalar_operands_and_unsupported_operands():
+    q = Biquaternion.from_coefficients(1, 2, 3, 4, 5, 6, 7, 8)
+    assert 1.0 + q == q + 1.0 == Biquaternion.from_coefficients(2, 2, 3, 4, 5, 6, 7, 8)
+    assert q - 1.0 == Biquaternion.from_coefficients(0, 2, 3, 4, 5, 6, 7, 8)
+    assert 2 * q == q * 2.0 == Biquaternion.from_coefficients(2, 4, 6, 8, 10, 12, 14, 16)
+    # a Python complex is not a biquaternion (its j is not the I of qi)
+    for a, b in ((q, 1j), (1j, q), (q.qr, 1j), (1j, q.qr)):
+        with pytest.raises(TypeError):
+            a * b
+    for a, b in ((q, 1j), (1j, q)):
+        with pytest.raises(TypeError):
+            a + b
+    with pytest.raises(TypeError):
+        q - 1j
 
 
 def test_coefficient_order_round_trip():

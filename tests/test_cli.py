@@ -46,6 +46,12 @@ from biquat.roots import (
 
 SQRT2_ROOT = "0 1.4142135623730951 0 0 0 0 1 0"
 HUGE_INT_JSON = f'{{"qr": [{10 ** 400}, 0, 0, 0], "qi": [0, 0, 0, 0]}}'
+NESTED_JSON = '{"qr": ' + "[" * 1000 + "]" * 1000 + ', "qi": [0, 0, 0, 0]}'
+# near-root with non-perpendicular directions: a sloppy tolerance (0.25) lets
+# the residual pass while the family checks fail
+_B, _D = math.cosh(0.3), math.sinh(0.3)
+VIOLATION = format_coefficients(Biquaternion.from_coefficients(
+    0, _B, 0, 0, 0, _D * 0.3, _D * math.sqrt(1 - 0.09), 0))
 
 
 def test_parse_text_form():
@@ -78,6 +84,9 @@ def test_parse_errors_carry_position():
         parse_biquaternion('{"qr": [Infinity, 0, 0, 0], "qi": [0, 0, 0, 0]}')
     with pytest.raises(ParseError, match=re.escape(f'"qr"[0]: {10 ** 400} is not finite')):
         parse_biquaternion(HUGE_INT_JSON)
+    # nesting deeper than the interpreter's recursion limit: json.loads cannot decode it
+    with pytest.raises(ParseError, match="^invalid JSON: maximum recursion depth"):
+        parse_biquaternion(NESTED_JSON)
 
 
 def test_format_parse_closure():
@@ -170,6 +179,10 @@ def test_make_root_rejects_bad_directions(capsys):
     assert "perpendicular" in capsys.readouterr().err
     assert main(["make-root", "--mu", "1 0", "--nu", "0 1 0", "--t", "1"]) == 2
     assert capsys.readouterr().err == "error: mu: expected 3 numbers, got 2\n"
+    assert main(["make-root", "--mu", "1 x 0", "--nu", "0 1 0", "--t", "1"]) == 2
+    assert capsys.readouterr().err == "error: mu token 2: 'x' is not a number\n"
+    assert main(["make-root", "--mu", "1 0 0", "--nu", "0 1 inf", "--t", "1"]) == 2
+    assert capsys.readouterr().err == "error: nu token 3: 'inf' is not finite\n"
 
 
 def test_make_root_rejects_overflowing_t(capsys):
@@ -366,11 +379,7 @@ def test_verify_examples_json(capsys):
 
 
 def test_classify_theorem_violation_exits_three(capsys):
-    # near-root with non-perpendicular directions: a sloppy tolerance lets
-    # the residual pass while the family checks fail
-    b, d = math.cosh(0.3), math.sinh(0.3)
-    coeffs = (0, b, 0, 0, 0, d * 0.3, d * math.sqrt(1 - 0.09), 0)
-    text = format_coefficients(Biquaternion.from_coefficients(*coeffs))
+    text = VIOLATION
     assert main(["classify", text, "--tol", "0.25"]) == 3
     out = capsys.readouterr().out
     assert out.startswith("theorem-violation")
@@ -385,6 +394,26 @@ def test_classify_theorem_violation_exits_three(capsys):
     # the text line carries the same residual and failures
     assert out == (f"theorem-violation residual={record['residual']!r} "
                    f"({failure})\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_violation_in_a_stream_is_one_more_verdict(monkeypatch, capsys, as_json):
+    # a theorem violation is one more verdict line: the lines after it are
+    # still classified, and the run exits 3 over the not-a-root's 1
+    flags = ["--tol", "0.25"] + (["--json"] if as_json else [])
+    lines = [VIOLATION, SQRT2_ROOT, "1 0 0 0 0 0 0 0"]
+    expected = []
+    for text, code in zip(lines, (3, 0, 1)):
+        assert main(["classify", *flags, text]) == code
+        expected.append(capsys.readouterr().out)
+    code, out, err = _run(monkeypatch, capsys, ["classify", *flags], lines)
+    assert (code, err) == (3, "")
+    assert out == "".join(expected)
+    families = ["theorem-violation", "nontrivial", "not-a-root"]
+    if as_json:
+        assert [json.loads(line)["family"] for line in out.splitlines()] == families
+    else:
+        assert [line.split()[0] for line in out.splitlines()] == families
 
 
 def test_usage_errors_exit_two(monkeypatch, capsys):
@@ -418,13 +447,15 @@ def test_negative_digits_is_a_usage_error(monkeypatch, capsys):
     for argv in (["square"], ["square", SQRT2_ROOT], ["classify"], ["classify", SQRT2_ROOT],
                  ["convert"], ["table"], ["make-root", *pair, "--t", "1"], ["sample"],
                  ["lattice", *pair]):
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--digits", "-1"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith("error: argument --digits: must be nonnegative, got -1\n")
+        for digits, message in (("-1", "must be nonnegative, got -1"),
+                                ("x", "invalid int value: 'x'")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(""))
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--digits", digits])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"error: argument --digits: {message}\n")
     # verify-examples prints no numbers to format, so it takes no --digits
     with pytest.raises(SystemExit) as excinfo:
         main(["verify-examples", "--digits", "3"])
@@ -576,6 +607,16 @@ def test_lines_before_a_bad_line_are_printed(monkeypatch, capsys):
     assert code == 2
     assert out.splitlines() == [_expected_square(q, 17, False) for _, q in pairs[:30]]
     assert err == "error: the square of this input overflows a double\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "square", "convert", "table"])
+def test_deeply_nested_json_is_a_usage_error(monkeypatch, capsys, command):
+    # the lines before it are written, then exit 2, not a traceback and exit 1
+    code, out, err = _run(monkeypatch, capsys, [command], [SQRT2_ROOT, NESTED_JSON])
+    assert code == 2
+    if command == "classify":
+        assert out == _expected_classify(parse_biquaternion(SQRT2_ROOT), 17, False) + "\n"
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 def _stream_text(lines):
