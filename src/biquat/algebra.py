@@ -68,11 +68,15 @@ class Quaternion:
                 and math.isfinite(y) and math.isfinite(z)):
             _check_finite("Quaternion", w, x, y, z)
 
-    def __add__(self, other: Quaternion) -> Quaternion:
+    def __add__(self, other):
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         return Quaternion(self.w + other.w, self.x + other.x,
                           self.y + other.y, self.z + other.z)
 
-    def __sub__(self, other: Quaternion) -> Quaternion:
+    def __sub__(self, other):
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         return Quaternion(self.w - other.w, self.x - other.x,
                           self.y - other.y, self.z - other.z)
 

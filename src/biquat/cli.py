@@ -61,7 +61,8 @@ def _parse_numbers(text: str, count: int, name: str = "") -> list[float]:
         raise ParseError(f"{name}: {message}" if name else message)
     try:
         values = [float(tok) for tok in tokens]
-        if math.isfinite(sum(values)):    # a non-finite entry makes the sum non-finite
+        # a non-finite entry makes the sum non-finite; "_" or non-ASCII text goes below
+        if text.isascii() and "_" not in text and math.isfinite(sum(values)):
             return values
     except ValueError:
         pass
@@ -69,12 +70,14 @@ def _parse_numbers(text: str, count: int, name: str = "") -> list[float]:
     where = f"{name} token" if name else "token"
     for pos, tok in enumerate(tokens, start=1):
         try:
+            if not tok.isascii() or "_" in tok:   # float reads these; the output never writes them
+                raise ValueError
             value = float(tok)
         except ValueError:
             raise ParseError(f"{where} {pos}: {tok!r} is not a number") from None
         if not math.isfinite(value):
             raise ParseError(f"{where} {pos}: {tok!r} is not finite")
-    return values   # none is bad: finite values whose sum overflowed
+    return values   # none is bad: non-ASCII whitespace, or finite values whose sum overflowed
 
 
 def parse_coefficients(text: str) -> list[float]:

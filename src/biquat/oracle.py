@@ -12,7 +12,7 @@ probes it numerically, desk-scale, from three directions:
   point must classify into a known family.
 
 The census scan writes the squared residual |q^2 + 1|^2 as a dot
-product of nine features of (a, b) with nine features of (c, d), both
+product of eight features of (a, b) with eight features of (c, d), both
 built once per scan through ``algebra.hamilton``, the one copy of the
 product formula, with none of the closed forms of ``roots``; each value
 of a is then one matrix product. Its values differ from the scalar route
@@ -55,19 +55,19 @@ _NEWTON_TARGET = 1e-12
 _T_MAX = math.acosh(sys.float_info.max)   # the largest t whose cosh is finite
 
 # Error of the scan's squared residual, in units of eps (|q|^2 + 1)^2.
-# The nine terms F_j G_j of ``_scan_residuals`` have moduli adding up to
-#   |h|^2 + 2|h||t0| + |t0|^2 + 4|qi|^2 (|a| + |b|)^2
-#   <= (|q|^2 + 1)^2 + 8 |qr|^2 |qi|^2 <= 3 (|q|^2 + 1)^2,
+# The eight terms F_j G_j of ``_scan_residuals`` have moduli adding up to
+#   |h|^2 + 2|h||t0| + |t0|^2 + a^2 |t1|^2 + b^2 |t2|^2
+#   <= (|h| + |t0|)^2 + 4 |qr|^2 |qi|^2 <= 2 (|q|^2 + 1)^2,
 # with |h| = |qr|^2, |t0| <= 1 + |qi|^2 and |t1|, |t2| <= 2|qi|. Each
 # feature is a sum of at most four products of Hamilton products of the
 # stored floats, and to first order lies within 27 eps of its exact value
 # at the scale of its term: 20 eps for |h|^2, 24 for |t0|^2 and |t2|^2,
-# plus one rounding of a^2, 2ab or b^2 and 2 eps for using b and mu apart
-# where the scalar route uses their rounded product. The 9-term dot
-# product adds gamma_9 ~ 9 eps in any summation order (Higham, Accuracy and
+# plus one rounding of a^2 or b^2 and 2 eps for using b and mu apart
+# where the scalar route uses their rounded product. The 8-term dot
+# product adds gamma_8 ~ 8 eps in any summation order (Higham, Accuracy and
 # Stability of Numerical Algorithms, 3.1). So the scan value is within
-# (27 + 9) * 3 = 108 eps (|q|^2 + 1)^2 of the exact squared residual; the
-# constant more than doubles that, for the eps^2 terms and for |mu| and
+# (27 + 8) * 2 = 70 eps (|q|^2 + 1)^2 of the exact squared residual; the
+# constant more than triples that, for the eps^2 terms and for |mu| and
 # |nu| being 1 only to within 1e-9.
 _SCAN_ERROR = 256.0
 
@@ -214,28 +214,28 @@ def _scan_residuals(spec: LatticeSpec):
 
     ``res2`` is an (n, n*n) array of squared residuals |q^2 + 1|^2: row
     b, column c*n + d. With h = qr*qr and ``_plane_terms`` t0, t1, t2,
-    |q^2 + 1|^2 = |h + t0|^2 + |a*t1 + b*t2|^2 is the dot product of the
-    (a, b) features [|h|^2, 2h_0..2h_3, 1, a^2, 2ab, b^2] with the (c, d)
-    features [1, t0_0..t0_3, |t0|^2, |t1|^2, t1.t2, |t2|^2]. Both tables
-    are built once per scan, from ``algebra.hamilton`` on the stored
-    floats, so each value of a costs one matrix product. The expansion
-    cancels: res2 may be negative near a root, and differs from the exact
-    value by up to ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. Points whose square
-    overflows come out inf or nan (callers silence the warnings). The
-    array is overwritten by the next value of a.
+    |q^2 + 1|^2 = |h + t0|^2 + a^2|t1|^2 + b^2|t2|^2, as t1.t2 = 0 for
+    any qi = (c, V): t2 = (-2 m.V, 2c m) is orthogonal to t1 = 2qi. That
+    is the dot product of the (a, b) features [|h|^2, 2h_0..2h_3, 1, a^2,
+    b^2] with the (c, d) features [1, t0_0..t0_3, |t0|^2, |t1|^2, |t2|^2].
+    Both tables are built once per scan, from ``algebra.hamilton`` on the
+    stored floats, so each value of a costs one matrix product. The
+    expansion cancels: res2 may be negative near a root, and differs from
+    the exact value by up to ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. Points
+    whose square overflows come out inf or nan (callers silence the
+    warnings). The array is overwritten by the next value of a.
     """
     axis = spec.axis()
     n = axis.size
     mu, nu = spec.mu, spec.nu
     # the first axis outermost: (c, d) for the plane, (a, b) for the rows
     x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-    t0, t1, t2 = _plane_terms(mu, (x, y * nu.x, y * nu.y, y * nu.z))
-    plane = np.stack((np.ones_like(x), *t0, (t0 * t0).sum(0), (t1 * t1).sum(0),
-                      (t1 * t2).sum(0), (t2 * t2).sum(0)))
+    terms = _plane_terms(mu, (x, y * nu.x, y * nu.y, y * nu.z))
+    plane = np.stack((np.ones_like(x), *terms[0], *(terms * terms).sum(1)))
     qr = (x, y * mu.x, y * mu.y, y * mu.z)
     h = np.array(hamilton(qr, qr))
-    rows = np.stack(((h * h).sum(0), *(2.0 * h), np.ones_like(x),
-                     x * x, 2.0 * x * y, y * y), axis=-1).reshape(n, n, 9)
+    rows = np.stack(((h * h).sum(0), *(2.0 * h), np.ones_like(x), x * x, y * y),
+                    axis=-1).reshape(n, n, 8)
     res2 = np.empty((n, n * n))
     for a, row in zip(axis.tolist(), rows):
         yield a, np.matmul(row, plane, out=res2)
@@ -250,8 +250,8 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     family is a reportable finding, recorded in ``violations`` rather
     than raised. ``tol`` must be finite and positive.
 
-    The scan writes |q^2 + 1|^2 as a dot product of nine features of
-    (a, b) with nine features of (c, d) (see ``_scan_residuals``), both
+    The scan writes |q^2 + 1|^2 as a dot product of eight features of
+    (a, b) with eight features of (c, d) (see ``_scan_residuals``), both
     built once by ``algebra.hamilton`` with no closed form of ``roots``,
     so each value of a costs one matrix product. Its squared residuals
     differ from the scalar route by roundoff, so every point within a

@@ -254,6 +254,12 @@ def test_scalar_operands_and_unsupported_operands():
             a + b
     with pytest.raises(TypeError):
         q - 1j
+    # a quaternion takes no scalar operand in a sum
+    for a, b in ((q.qr, 1.0), (q.qr, 1j)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
 
 
 def test_coefficient_order_round_trip():

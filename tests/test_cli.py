@@ -87,6 +87,15 @@ def test_parse_errors_carry_position():
     # nesting deeper than the interpreter's recursion limit: json.loads cannot decode it
     with pytest.raises(ParseError, match="^invalid JSON: maximum recursion depth"):
         parse_biquaternion(NESTED_JSON)
+    # float reads digit grouping and non-ASCII digits; the format has neither
+    with pytest.raises(ParseError, match=re.escape("token 1: '1_0' is not a number")):
+        parse_biquaternion("1_0 0 0 0 0 0 0 0")
+    with pytest.raises(ParseError, match=re.escape("token 3: '\u0661' is not a number")):
+        parse_biquaternion("0 0 \u0661 0 0 0 0 0")
+    with pytest.raises(ParseError, match=re.escape("token 8: '\uff17' is not a number")):
+        parse_biquaternion("0 0 0 0 0 0 0 \uff17")
+    # non-ASCII whitespace still separates ASCII tokens
+    assert parse_biquaternion("1\u20030 0 0 0 0 0\u00a00") == Biquaternion.from_scalar(1.0)
 
 
 def test_format_parse_closure():
@@ -183,6 +192,10 @@ def test_make_root_rejects_bad_directions(capsys):
     assert capsys.readouterr().err == "error: mu token 2: 'x' is not a number\n"
     assert main(["make-root", "--mu", "1 0 0", "--nu", "0 1 inf", "--t", "1"]) == 2
     assert capsys.readouterr().err == "error: nu token 3: 'inf' is not finite\n"
+    assert main(["make-root", "--mu", "\u0661 0 0", "--nu", "0 1 0", "--t", "1"]) == 2
+    assert capsys.readouterr().err == "error: mu token 1: '\u0661' is not a number\n"
+    assert main(["make-root", "--mu", "1 0 0", "--nu", "0 1_0 0", "--t", "1"]) == 2
+    assert capsys.readouterr().err == "error: nu token 2: '1_0' is not a number\n"
 
 
 def test_make_root_rejects_overflowing_t(capsys):
@@ -470,8 +483,19 @@ def test_square_overflow_is_reported(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the square of this input overflows a double\n"
-    # finite entries whose sum overflows are still a finite square
+    # finite entries whose square is just below DBL_MAX are still a finite square
     assert main(["square", "1.3e154 2e153 0 0 0 0 0 0"]) == 0
+
+
+def test_finite_tokens_whose_sum_overflows(capsys):
+    # each token is finite, so the parser accepts the line; its square overflows
+    line = "1e308 1e308 0 0 0 0 0 0"
+    assert main(["classify", line]) == 1
+    assert capsys.readouterr().out == "not-a-root residual=inf\n"
+    assert main(["square", line]) == 2
+    assert capsys.readouterr().err == "error: the square of this input overflows a double\n"
+    assert main(["convert", line]) == 0
+    assert capsys.readouterr().out == "w=1e+308+0I x=1e+308+0I y=0+0I z=0+0I\n"
 
 
 def test_commands_without_oracle_do_not_load_numpy():

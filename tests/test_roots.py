@@ -364,6 +364,24 @@ def test_theorem_violation_is_reachable():
     assert isinstance(classify_root(q), NotRoot)
 
 
+def test_every_family_check_reports_its_failure(monkeypatch):
+    # the residual test keeps these checks out of reach: fake a residual of
+    # 0 so that classify_coefficients runs them on points that are no roots
+    monkeypatch.setattr(roots, "square_residual", lambda c: 0.0)
+    cases = (
+        ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+         ("|a| = 1.0 > tol", "|b^2 - d^2 - 1| = 2.0 > tol",
+          "missing direction for a nontrivial root")),
+        ((0.0, 2.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0),
+         ("|c| = 1.0 > tol", "|b^2 - d^2 - 1| = 2.0 > tol")),
+    )
+    for coeffs, messages in cases:
+        with pytest.raises(TheoremViolationError) as excinfo:
+            roots.classify_coefficients(coeffs)
+        assert excinfo.value.failures == messages
+        assert excinfo.value.residual == 0.0
+
+
 def test_certification_is_loud_on_noise_amplified_direction():
     # residual bounds dot(mu, nu) only via 2*b*d*dot, so a near-root with
     # d barely above tol can carry a direction that cannot be certified
