@@ -20,6 +20,7 @@ so they are safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -283,6 +284,13 @@ def square_residual(q: Biquaternion | Sequence[float]) -> float:
     sq = mul_coefficients(c, c)
     residual = math.hypot(sq[0] + 1.0, *sq[1:])
     return math.inf if math.isnan(residual) else residual
+
+
+# square_residual(q) is within RESIDUAL_ROUNDOFF * (|q|^2 + 1) of the exact
+# |q^2 + 1|: each coefficient of q^2 is an 8-term sum of products whose moduli
+# add up to at most |q|^2. A check that must agree with the residual test at a
+# tie allows this much slack, so that the two roundings cannot split the tie.
+RESIDUAL_ROUNDOFF = 64.0 * sys.float_info.epsilon
 
 
 def dot_cross(u: Quaternion, v: Quaternion) -> tuple[float, Quaternion]:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    RESIDUAL_ROUNDOFF,
     Biquaternion,
     PureUnit,
     check_tolerance,
@@ -267,17 +268,16 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
             f"grid of {total_points} points exceeds the {_MAX_LATTICE_POINTS} cap")
 
     # On the grid |q|^2 + 1 <= s = 4 bound^2 + 1. The scalar residual is
-    # within 64 eps s of the exact one r (each coefficient of q^2 is an
-    # 8-term sum of products whose moduli add up to at most |q|^2), so a
-    # hit has r <= tol + 64 eps s, and its scan value res2 is within
-    # _SCAN_ERROR eps s^2 of r^2. Every point under the cut below is
-    # re-checked by the scalar route, which alone decides a hit; res2 is
-    # compared squared, as it may be negative. Products, not powers, so
-    # that a huge grid gives inf rather than OverflowError; the clamp
-    # keeps residuals that overflowed to inf out.
+    # within RESIDUAL_ROUNDOFF * s of the exact one r, so a hit has
+    # r <= near, and its scan value res2 is within _SCAN_ERROR eps s^2 of
+    # r^2. Every point under the cut below is re-checked by the scalar
+    # route, which alone decides a hit; res2 is compared squared, as it may
+    # be negative. Products, not powers, so that a huge grid gives inf
+    # rather than OverflowError; the clamp keeps residuals that overflowed
+    # to inf out.
     eps = sys.float_info.epsilon
     s = 4.0 * spec.bound * spec.bound + 1.0
-    near = tol + 64.0 * eps * s
+    near = tol + RESIDUAL_ROUNDOFF * s
     cut2 = min(near * near + _SCAN_ERROR * eps * s * s, sys.float_info.max)
     mu, nu = spec.mu, spec.nu
     values = spec.axis().tolist()

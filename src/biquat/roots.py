@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     DEFAULT_TOL,
+    RESIDUAL_ROUNDOFF,
     Biquaternion,
     PureUnit,
     Quaternion,
@@ -47,9 +48,10 @@ class TheoremViolationError(RuntimeError):
     """Internal-consistency failure: q passes the residual test for a root
     of -1 but does not fit any of the three families.
 
-    This should be unreachable for sane tolerances; it is raised loudly
-    instead of being mapped to a not-a-root outcome so that a genuine
-    counterexample could never be absorbed silently.
+    This is unreachable in exact arithmetic (see ``classify_root``); it is
+    raised loudly instead of being mapped to a not-a-root outcome so that a
+    genuine counterexample, or a roundoff or decomposition bug, could never
+    be absorbed silently.
     """
 
     def __init__(self, q: Biquaternion, residual: float, failures: list[str]):
@@ -238,18 +240,31 @@ def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassificati
     * d below tol and |c| below tol: unit pure root q = mu;
     * otherwise nontrivial with t = asinh(d).
 
-    In the nontrivial case the family structure (a = c = 0, b^2 - d^2 = 1,
-    mu perpendicular to nu) is asserted. A failed assertion while the
-    residual passes raises TheoremViolationError rather than degrading to
-    NotRoot; with default tolerances that path should be unreachable.
+    In the nontrivial case the family structure is asserted in the complex
+    view q = w + v, with w = a + c*I and v = b*mu + d*nu*I. There q is a
+    root iff w = 0 and v.v = (b^2 - d^2) + 2*b*d*dot(mu, nu)*I = 1, which
+    is a = c = 0, b^2 - d^2 = 1 and mu perpendicular to nu at once; so two
+    checks, |w| <= tol and |v.v - 1| <= tol, are made. A failed check while
+    the residual passes raises TheoremViolationError rather than degrading
+    to NotRoot.
 
-    Boundary caveat: the residual constrains dot(mu, nu) only through the
-    product 2*b*d*dot, so just above d = tol the direction is noise
-    amplified by 1/(2*b*d) and a near-root whose coefficients carry
-    generic noise (e.g. a Newton-refined point) can fail the
-    perpendicularity assertion even though it sits on the manifold to
-    within tol. The diagnostic fires there too: certification stays loud
-    instead of absorbing a direction it cannot confirm.
+    In exact arithmetic no check can fail once the residual passes, at any
+    tol. With |v|^2 = b^2 + d^2, the residual satisfies
+    |q^2 + 1|^2 = |w^2 + 1 - v.v|^2 + 4 |w|^2 |v|^2, and this branch has
+    |v| > tol. Then |v| > 1/2 too: for tol < 1/2, |v| <= 1/2 would give
+    |w| < 1/2 by 2 |w| |v| <= tol, and so |w^2 + 1 - v.v| > 1/2 > tol.
+    Hence |w| < tol. With u = |w|^2, |v.v - 1| <= |w^2 + 1 - v.v| + u is
+    below sqrt(tol^2 - u) + u for tol < 1/2 (as 4 |v|^2 > 1) and below
+    tol*sqrt(1 - 4u) + u for tol >= 1/2 (as |v| > tol); both decrease in u
+    from tol. So each check allows only the residual's roundoff bound
+    (``RESIDUAL_ROUNDOFF``): at w = 0, |v.v - 1| is the residual, rounded
+    differently, and a tie must not split. TheoremViolationError stays a
+    loud guard against roundoff and decomposition bugs.
+
+    v.v bounds dot(mu, nu) only through 2*b*d*dot, so for d near 0 the
+    decomposed nu can tilt by up to tol/(2*b*d). Where |dot| > tol the
+    reported nu is projected off mu, which moves the root it names by at
+    most d*|dot| <= tol/(2*b).
     """
     return classify_coefficients(q.coefficients(), tol)[0]
 
@@ -272,19 +287,19 @@ def classify_coefficients(c: Sequence[float],
     if form.d <= tol and abs(form.c) <= tol:
         return UnitPure(form.mu), residual
 
-    failures = []
-    if abs(form.a) > tol:
-        failures.append(f"|a| = {abs(form.a)!r} > tol")
-    if abs(form.c) > tol:
-        failures.append(f"|c| = {abs(form.c)!r} > tol")
-    hyper = form.b * form.b - form.d * form.d - 1.0
-    if abs(hyper) > tol:
-        failures.append(f"|b^2 - d^2 - 1| = {abs(hyper)!r} > tol")
-    if form.mu is None or form.nu is None:
-        failures.append("missing direction for a nontrivial root")
-    elif abs(form.mu.dot(form.nu)) > tol:
-        failures.append(f"|dot(mu, nu)| = {abs(form.mu.dot(form.nu))!r} > tol")
-    if failures:
+    # the two checks of the complex view, each allowed the residual's roundoff
+    x, y, z = complex(c[1], c[5]), complex(c[2], c[6]), complex(c[3], c[7])
+    w, vv = abs(complex(c[0], c[4])), abs(x * x + y * y + z * z - 1.0)
+    norm = math.hypot(*c)
+    bound = tol + RESIDUAL_ROUNDOFF * (norm * norm + 1.0)
+    if w > bound or vv > bound:
+        failures = [f"{name} = {value!r} > tol"
+                    for name, value in (("|w|", w), ("|v.v - 1|", vv)) if value > bound]
         raise TheoremViolationError(Biquaternion.from_coefficients(*c), residual, failures)
-    return Nontrivial(form.mu, form.nu, math.asinh(form.d)), residual
+    # keep the reported nu perpendicular to mu
+    mu, nu = form.mu, form.nu
+    dot = mu.dot(nu)
+    if abs(dot) > tol:
+        nu = PureUnit.from_vector(nu.x - dot * mu.x, nu.y - dot * mu.y, nu.z - dot * mu.z)
+    return Nontrivial(mu, nu, math.asinh(form.d)), residual
 

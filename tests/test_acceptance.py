@@ -188,11 +188,12 @@ def test_criterion_7_lattice_census():
 
 
 def test_criterion_8_newton_completeness_probe():
-    # t >= 0.01 keeps the probe off the d ~ 0 boundary, where a refined
-    # point's nu direction is noise-amplified beyond what perpendicularity
-    # certification at 1e-9 can confirm; t <= 3 keeps the 1e-3 perturbation
-    # small next to the root (initial residual ~ 2 cosh(t) |noise|), so
-    # Newton lands back on the perturbed root's own family
+    # t >= 0.01 has no numerical need, since landing points near d = 0
+    # classify as well (tests/test_oracle.py probes them), but it stays so
+    # that the criterion's inputs do not change; t <= 3 keeps the 1e-3
+    # perturbation small next to the root (initial residual
+    # ~ 2 cosh(t) |noise|), so Newton lands back on the perturbed root's own
+    # family
     rng = np.random.default_rng(80)
     start = time.perf_counter()
     worst = 0.0

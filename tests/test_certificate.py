@@ -50,6 +50,21 @@ def test_square_in_the_complex_view():
                for got, want in zip(mul_coefficients(q, q), expected))
 
 
+def test_v_dot_v_on_unit_directions():
+    # certificate step 4: for v = b mu + I d nu with unit mu and nu,
+    # v.v = b^2 - d^2 + 2 I b d (mu.nu) modulo |mu|^2 - 1 and |nu|^2 - 1; so the
+    # one complex check |v.v - 1| stands for the hyperbola b^2 - d^2 = 1 and
+    # the perpendicularity of mu and nu together
+    b, d = sympy.symbols("b d", real=True)
+    mu = sympy.symbols("mu_x mu_y mu_z", real=True)
+    nu = sympy.symbols("nu_x nu_y nu_z", real=True)
+    v = [b * m + sympy.I * d * n for m, n in zip(mu, nu)]
+    units = [sum(m * m for m in mu) - 1, sum(n * n for n in nu) - 1]
+    _, remainder = sympy.reduced(sympy.expand(sum(u * u for u in v)), units, *mu, *nu)
+    dot = sum(m * n for m, n in zip(mu, nu))
+    assert sympy.expand(remainder - (b * b - d * d + 2 * sympy.I * b * d * dot)) == 0
+
+
 def _bits(values):
     return [v.hex() for v in values]   # tells -0.0 from 0.0
 

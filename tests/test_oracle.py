@@ -448,6 +448,24 @@ def test_refine_scaled_unit_pure_keeps_zero_scalar_parts():
                      (mu.x, mu.y, mu.z)) <= 1e-12
 
 
+def test_refine_near_unit_pure_lands_on_a_certified_family():
+    # starts 1e-8 off a unit-pure root land on nontrivial roots with d near
+    # 1e-8, whose decomposed nu the residual cannot pin down; each still
+    # classifies, with nu reported perpendicular to mu
+    rng = np.random.default_rng(0)
+    landings = {Nontrivial: 0, UnitPure: 0}
+    for _ in range(200):
+        mu = sample_unit_pure(rng)
+        start = np.array([0.0, mu.x, mu.y, mu.z, 0.0, 0.0, 0.0, 0.0])
+        refined = refine_root(Biquaternion.from_coefficients(
+            *(start + 1e-8 * rng.standard_normal(8))))
+        classification = classify_root(refined)
+        if isinstance(classification, Nontrivial):
+            assert abs(classification.mu.dot(classification.nu)) <= 1e-9
+        landings[type(classification)] += 1
+    assert landings[Nontrivial] > 100
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_refine_noisy_imaginary_unit(sign):
     rng = np.random.default_rng(113)
