@@ -128,10 +128,17 @@ class PureUnit:
 
     @classmethod
     def from_vector(cls, x: float, y: float, z: float) -> PureUnit:
-        """Normalize an arbitrary nonzero 3-vector into a PureUnit."""
+        """Normalize an arbitrary nonzero 3-vector into a PureUnit.
+
+        A modulus below the smallest normal double keeps only a few bits,
+        so such a vector is first scaled by an exact power of two.
+        """
         n = math.hypot(x, y, z)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        if n < sys.float_info.min:
+            x, y, z = x * 2.0 ** 600, y * 2.0 ** 600, z * 2.0 ** 600
+            n = math.hypot(x, y, z)
         return cls(x / n, y / n, z / n)
 
     def dot(self, other: PureUnit) -> float:
@@ -277,19 +284,35 @@ def biquat_mul(p: Biquaternion, q: Biquaternion) -> Biquaternion:
 def square_residual(q: Biquaternion | Sequence[float]) -> float:
     """Euclidean norm of the coefficients of ``q^2 + 1``; zero exactly on the roots.
 
-    ``q`` is a Biquaternion or its 8 coefficients in canonical order. A
-    finite q whose square overflows gets ``inf``, not an error.
+    ``q`` is a Biquaternion or its 8 coefficients in canonical order. The
+    square is taken in the complex view q = w + v, where
+    q^2 + 1 = (w^2 - v.v + 1) + 2wv (see ``complex_residual``). A finite q
+    whose square overflows gets ``inf``, not an error.
     """
     c = q.coefficients() if isinstance(q, Biquaternion) else q
-    sq = mul_coefficients(c, c)
-    residual = math.hypot(sq[0] + 1.0, *sq[1:])
+    return complex_residual(complex(c[0], c[4]), complex(c[1], c[5]),
+                            complex(c[2], c[6]), complex(c[3], c[7]))
+
+
+def complex_residual(w: complex, x: complex, y: complex, z: complex) -> float:
+    """``square_residual`` of the complex components ``w + x*i + y*j + z*k``.
+
+    The four complex components of q^2 + 1 are s = w^2 - (x^2 + y^2 + z^2) + 1
+    and 2w times x, y and z; their 8 parts go to ``math.hypot`` in canonical
+    order. Overflow gives ``inf``, never ``nan``.
+    """
+    s = w * w - (x * x + y * y + z * z) + 1.0
+    w2 = w + w
+    x, y, z = w2 * x, w2 * y, w2 * z
+    residual = math.hypot(s.real, x.real, y.real, z.real, s.imag, x.imag, y.imag, z.imag)
     return math.inf if math.isnan(residual) else residual
 
 
 # square_residual(q) is within RESIDUAL_ROUNDOFF * (|q|^2 + 1) of the exact
-# |q^2 + 1|: each coefficient of q^2 is an 8-term sum of products whose moduli
-# add up to at most |q|^2. A check that must agree with the residual test at a
-# tie allows this much slack, so that the two roundings cannot split the tie.
+# |q^2 + 1|: each part of w^2 - v.v sums 8 products whose moduli add up to at
+# most |q|^2, and each part of 2wv sums 2 products. A check that must agree
+# with the residual test at a tie allows this much slack, so that the two
+# roundings cannot split the tie.
 RESIDUAL_ROUNDOFF = 64.0 * sys.float_info.epsilon
 
 

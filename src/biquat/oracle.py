@@ -16,9 +16,11 @@ product of eight features of (a, b) with eight features of (c, d), both
 built once per scan through ``algebra.hamilton``, the one copy of the
 product formula, with none of the closed forms of ``roots``; each value
 of a is then one matrix product. Its values differ from the scalar route
-by roundoff, so each point near the tolerance is decided by
-``classify_coefficients``. Newton measures its iterates by
-``algebra.square_residual``.
+(``algebra.square_residual``, which squares in the complex view) by
+roundoff, so each point near the tolerance is decided by
+``classify_coefficients``. Newton stays in the complex view: it iterates
+on the four complex components of q and measures them with
+``algebra.complex_residual``, the formula of ``square_residual``.
 
 All sampling is reproducible: a run is fully determined by the seed and
 parameters. The lattice scan reports hits in lattice index order (a
@@ -27,6 +29,7 @@ outermost, then b, c, d).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -39,8 +42,8 @@ from .algebra import (
     Biquaternion,
     PureUnit,
     check_tolerance,
+    complex_residual,
     hamilton,
-    square_residual,
 )
 from .roots import (
     NotRoot,
@@ -300,56 +303,50 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     return SearchReport(tuple(hits), total_points, tol, tuple(violations))
 
 
-def _newton_step(x) -> tuple[float, ...]:
-    """The Newton step -(q + q^-1)/2 of q^2 + 1 = 0 at the coefficients x.
-
-    In the complex view q = w + v, q^-1 = (w - v)/N with N = w^2 + v.v, so
-    the step is -w (1/2 + r) - v (1/2 - r) with r = 1/(2N).
-    """
-    w, a, b, c = (complex(x[k], x[k + 4]) for k in range(4))
-    r = 0.5 / (w * w + a * a + b * b + c * c)
-    w, s = w * -(0.5 + r), r - 0.5
-    a, b, c = a * s, b * s, c * s
-    return (w.real, a.real, b.real, c.real, w.imag, a.imag, b.imag, c.imag)
-
-
 def refine_root(q0: Biquaternion) -> Biquaternion:
     """Newton-iterate from any start onto the manifold ``{q : q^2 = -1}``.
 
     Newton's equation q*delta + delta*q = -(q^2 + 1) has the closed-form
     solution delta = -(q + q^-1)/2, so each iterate is the Newton point
-    (q - q^-1)/2, computed on plain floats through the complex view (see
-    ``_newton_step``). As a 2x2 complex matrix q has eigenvalues
-    w +/- sqrt(-v.v), and each maps to (lambda - 1/lambda)/2: this is the
-    sign-function iteration of matrix analysis, which converges globally
-    (Higham, Functions of Matrices, ch. 5). An eigenvalue in the upper
-    half-plane goes to +i and one in the lower to -i; so q lands on +I or
-    -I when both lie on one side, and on the nontrivial or unit-pure family
-    when they lie on opposite sides. Only starts with a real eigenvalue, a
-    set of measure zero, fail.
+    (q - q^-1)/2. In the complex view q = w + v, q^-1 = (w - v)/N with
+    N = w^2 + v.v, so the step is -w (1/2 + r) - v (1/2 - r) with
+    r = 1/(2N); the iteration runs on the four complex components of q and
+    builds a Biquaternion only on exit. As a 2x2 complex matrix q has
+    eigenvalues w +/- sqrt(-v.v), and each maps to (lambda - 1/lambda)/2:
+    this is the sign-function iteration of matrix analysis, which converges
+    globally (Higham, Functions of Matrices, ch. 5). An eigenvalue in the
+    upper half-plane goes to +i and one in the lower to -i; so q lands on +I
+    or -I when both lie on one side, and on the nontrivial or unit-pure
+    family when they lie on opposite sides. Only starts with a real
+    eigenvalue, a set of measure zero, fail.
 
-    Residuals are ``square_residual``'s. The target is 1e-12; inputs
-    already there come back unchanged. ``NonConvergenceError`` is raised
-    when an iterate is singular (N = w^2 + v.v = 0), when a step gives a
-    non-finite iterate, or after 25 iterations short of the target.
+    Residuals are ``square_residual``'s, from the same components. The
+    target is 1e-12; inputs already there come back unchanged.
+    ``NonConvergenceError`` is raised when an iterate is singular
+    (N = w^2 + v.v = 0), when a step gives a non-finite iterate, or after
+    25 iterations short of the target.
     """
-    x = q0.coefficients()
-    residual = square_residual(x)
+    w, x, y, z = q0.complex_components()
+    residual = complex_residual(w, x, y, z)
     if residual <= _NEWTON_TARGET:
         return q0
 
     message = f"no convergence within {_NEWTON_ITERATIONS} iterations"
     for _ in range(_NEWTON_ITERATIONS):
         try:
-            x_new = tuple(c + d for c, d in zip(x, _newton_step(x)))
+            r = 0.5 / (w * w + x * x + y * y + z * z)
         except ZeroDivisionError:
             message = "singular iterate, w^2 + v.v = 0"
             break
-        if not all(map(math.isfinite, x_new)):
+        m, s = -(0.5 + r), r - 0.5
+        new = w + w * m, x + x * s, y + y * s, z + z * s
+        if not all(map(cmath.isfinite, new)):
             message = "non-finite Newton iterate"
             break
-        x, residual = x_new, square_residual(x_new)
+        w, x, y, z = new
+        residual = complex_residual(w, x, y, z)
         if residual <= _NEWTON_TARGET:
-            return Biquaternion.from_coefficients(*x)
+            return Biquaternion.from_complex_components(w, x, y, z)
 
-    raise NonConvergenceError(Biquaternion.from_coefficients(*x), residual, message)
+    raise NonConvergenceError(Biquaternion.from_complex_components(w, x, y, z),
+                              residual, message)

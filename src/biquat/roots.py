@@ -126,9 +126,10 @@ class Residuals:
 
     real_scalar and real_vector are the plain-quaternion part, imag_scalar
     and imag_vector the coefficient of I. ``aggregate`` is the Euclidean
-    norm of the eight coefficients of ``q^2 + 1`` computed by generic
-    multiplication; it is the ground truth the closed forms are checked
-    against and vanishes exactly on the root manifold.
+    norm of the eight coefficients of ``q^2 + 1``, squared in the complex
+    view (``algebra.square_residual``) and not through the decomposition;
+    it is the ground truth the closed forms are checked against and
+    vanishes exactly on the root manifold.
     """
 
     real_scalar: float
@@ -190,8 +191,8 @@ def decompose(q: Biquaternion | Sequence[float]) -> DecomposedForm:
     wr, xr, yr, zr, wi, xi, yi, zi = q.coefficients() if isinstance(q, Biquaternion) else q
     b = math.hypot(xr, yr, zr)
     d = math.hypot(xi, yi, zi)
-    mu = PureUnit(xr / b, yr / b, zr / b) if b > 0.0 else None
-    nu = PureUnit(xi / d, yi / d, zi / d) if d > 0.0 else None
+    mu = PureUnit.from_vector(xr, yr, zr) if b > 0.0 else None
+    nu = PureUnit.from_vector(xi, yi, zi) if d > 0.0 else None
     return DecomposedForm(wr, b, mu, wi, d, nu)
 
 
@@ -207,8 +208,9 @@ def constraint_residuals(q: Biquaternion) -> Residuals:
         imag_vector = 2ad*nu + 2bc*mu
 
     (mu*nu + nu*mu collapses to -2*dot(mu, nu) because the cross products
-    cancel). The ``aggregate`` field is computed independently from the
-    generic product, not from these closed forms.
+    cancel). The ``aggregate`` field is computed independently, by
+    ``algebra.square_residual`` in the complex view, not from these closed
+    forms.
     """
     coeffs = q.coefficients()
     form = decompose(coeffs)

@@ -180,6 +180,15 @@ def test_classify_all_degenerate_families(capsys):
     assert lines[1].startswith("imaginary-unit sign=-1")
 
 
+def test_classify_subnormal_vector_parts(capsys):
+    # within 1e-323 of I and of i; a vector part of subnormal modulus still
+    # normalizes to a unit direction
+    assert main(["classify", "0 5e-324 5e-324 0 1 0 0 0", "0 1 0 0 0 5e-324 5e-324 0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("imaginary-unit sign=+1 residual=")
+    assert lines[1].startswith("unit-pure mu=(1 0 0) residual=")
+
+
 def test_make_root_output_classifies(capsys):
     assert main(["make-root", "--mu", "1 0 0", "--nu", "0 1 0",
                  "--t", "0.881373587019543"]) == 0

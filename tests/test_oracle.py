@@ -28,7 +28,6 @@ from biquat.oracle import (
     LatticeSpec,
     NonConvergenceError,
     _SCAN_ERROR,
-    _newton_step,
     _scan_residuals,
     lattice_search,
     refine_root,
@@ -331,16 +330,20 @@ def test_lattice_overflowing_grid_is_quiet():
         assert report.hits == () and report.violations == () and report.scanned == 81
 
 
-def test_newton_step_solves_the_newton_equation():
-    # the closed-form step solves J delta = -F with J = L(x) + R(x), the
-    # Jacobian of x -> x^2 + 1, wherever J is invertible
+def test_newton_step_solves_the_newton_equation(monkeypatch):
+    # the closed-form step, read off one capped iteration of refine_root,
+    # solves J delta = -F with J = L(x) + R(x), the Hamilton Jacobian of
+    # x -> x^2 + 1, wherever J is invertible
+    monkeypatch.setattr(oracle, "_NEWTON_ITERATIONS", 1)
     rng = np.random.default_rng(109)
     eye = np.eye(8)
     for _ in range(1000):
         x = rng.uniform(-3, 3, 8)
         jac = np.array(mul_coefficients(x, eye)) + np.array(mul_coefficients(eye, x))
         f = np.array(mul_coefficients(x, x)) + eye[0]
-        step = np.array(_newton_step(x.tolist()))
+        with pytest.raises(NonConvergenceError, match="within 1 iterations") as excinfo:
+            refine_root(Biquaternion.from_coefficients(*x))
+        step = np.array(excinfo.value.best.coefficients()) - x
         assert np.abs(jac @ step + f).max() <= 1e-12 * (1.0 + x @ x)
         want = np.linalg.solve(jac, -f)
         assert np.abs(step - want).max() <= 1e-12 * np.abs(want).max()
