@@ -131,13 +131,17 @@ class PureUnit:
         """Normalize an arbitrary nonzero 3-vector into a PureUnit.
 
         A modulus below the smallest normal double keeps only a few bits,
-        so such a vector is first scaled by an exact power of two.
+        and one above the largest is inf, so such a vector is first scaled
+        by an exact power of two.
         """
         n = math.hypot(x, y, z)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         if n < sys.float_info.min:
             x, y, z = x * 2.0 ** 600, y * 2.0 ** 600, z * 2.0 ** 600
+            n = math.hypot(x, y, z)
+        elif n > sys.float_info.max:
+            x, y, z = x * 2.0 ** -600, y * 2.0 ** -600, z * 2.0 ** -600
             n = math.hypot(x, y, z)
         return cls(x / n, y / n, z / n)
 

@@ -14,10 +14,12 @@ probes it numerically, desk-scale, from three directions:
 The census scan writes the squared residual |q^2 + 1|^2 as a dot
 product of eight features of (a, b) with eight features of (c, d), both
 built once per scan through ``algebra.hamilton``, the one copy of the
-product formula, with none of the closed forms of ``roots``; each value
-of a is then one matrix product. Its values differ from the scalar route
-(``algebra.square_residual``, which squares in the complex view) by
-roundoff, so each point near the tolerance is decided by
+product formula, with none of the closed forms of ``roots``. Negating qr
+or qi in q = qr + qi*I flips only the sign of the I-part of q^2 + 1, so
+a quarter of the grid is computed, one matrix product per a <= 0, and
+each other point takes its mirror's value. Its values differ from the
+scalar route (``algebra.square_residual``, which squares in the complex
+view) by roundoff, so each point near the tolerance is decided by
 ``classify_coefficients``. Newton stays in the complex view: it iterates
 on the four complex components of q and measures them with
 ``algebra.complex_residual``, the formula of ``square_residual``.
@@ -73,6 +75,7 @@ _T_MAX = math.acosh(sys.float_info.max)   # the largest t whose cosh is finite
 # (27 + 8) * 2 = 70 eps (|q|^2 + 1)^2 of the exact squared residual; the
 # constant more than triples that, for the eps^2 terms and for |mu| and
 # |nu| being 1 only to within 1e-9.
+# A mirrored point's value is its mirror's, bit for bit, so the bound covers it.
 _SCAN_ERROR = 256.0
 
 
@@ -196,53 +199,52 @@ class SearchReport:
     violations: tuple[str, ...]
 
 
-def _plane_terms(mu: PureUnit, qi) -> np.ndarray:
-    """The three (4, P) coefficient arrays of a scan plane, stacked.
+def _scan_features(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n, 8) table of (a, b) features and the (8, n*n) one of (c, d).
 
-    For q = qr + qi*I with qr = a + b*m and m = (0, mu), the product is
-    bilinear, so q^2 + 1 = (qr*qr + 1 - qi*qi) + (a*(2*qi) + b*(m*qi + qi*m))*I.
-    The terms are ``1 - qi*qi`` (1 on row 0 only), ``2*qi`` and
-    ``m*qi + qi*m``, each from ``algebra.hamilton`` on the stored floats.
-    """
-    m = (0.0, mu.x, mu.y, mu.z)
-    terms = np.empty((3, 4, qi[0].size))
-    np.negative(hamilton(qi, qi), out=terms[0])
-    terms[0, 0] += 1.0
-    np.multiply(qi, 2.0, out=terms[1])
-    np.add(hamilton(m, qi), hamilton(qi, m), out=terms[2])
-    return terms
-
-
-def _scan_residuals(spec: LatticeSpec):
-    """Yield ``(a, res2)`` for every value of a, in axis order.
-
-    ``res2`` is an (n, n*n) array of squared residuals |q^2 + 1|^2: row
-    b, column c*n + d. With h = qr*qr and ``_plane_terms`` t0, t1, t2,
-    |q^2 + 1|^2 = |h + t0|^2 + a^2|t1|^2 + b^2|t2|^2, as t1.t2 = 0 for
-    any qi = (c, V): t2 = (-2 m.V, 2c m) is orthogonal to t1 = 2qi. That
-    is the dot product of the (a, b) features [|h|^2, 2h_0..2h_3, 1, a^2,
-    b^2] with the (c, d) features [1, t0_0..t0_3, |t0|^2, |t1|^2, |t2|^2].
-    Both tables are built once per scan, from ``algebra.hamilton`` on the
-    stored floats, so each value of a costs one matrix product. The
-    expansion cancels: res2 may be negative near a root, and differs from
-    the exact value by up to ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. Points
-    whose square overflows come out inf or nan (callers silence the
-    warnings). The array is overwritten by the next value of a.
+    Rows are [a, b] and columns c*n + d, in axis indices. For q = qr + qi*I
+    with qr = a + b*m and m = (0, mu), q^2 + 1 = (h + t0) + (a*t1 + b*t2)*I
+    with h = qr*qr, t0 = 1 - qi*qi, t1 = 2*qi and t2 = m*qi + qi*m, each from
+    ``algebra.hamilton`` on the stored floats. As t1.t2 = 0 for any
+    qi = (c, V) (t2 = (-2 m.V, 2c m)), |q^2 + 1|^2 is the dot product of the
+    (a, b) features [|h|^2, 2h_0..2h_3, 1, a^2, b^2] with the (c, d) features
+    [1, t0_0..t0_3, |t0|^2, |t1|^2, |t2|^2]. The axis is symmetric and
+    negation exact, so both tables equal their reverses bit for bit.
     """
     axis = spec.axis()
-    n = axis.size
     mu, nu = spec.mu, spec.nu
     # the first axis outermost: (c, d) for the plane, (a, b) for the rows
     x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-    terms = _plane_terms(mu, (x, y * nu.x, y * nu.y, y * nu.z))
-    plane = np.stack((np.ones_like(x), *terms[0], *(terms * terms).sum(1)))
+    qi, m = (x, y * nu.x, y * nu.y, y * nu.z), (0.0, mu.x, mu.y, mu.z)
+    t0 = -np.array(hamilton(qi, qi))
+    t0[0] += 1.0
+    t1, t2 = 2.0 * np.array(qi), np.add(hamilton(m, qi), hamilton(qi, m))
+    plane = np.stack((np.ones_like(x), *t0, *((t * t).sum(0) for t in (t0, t1, t2))))
     qr = (x, y * mu.x, y * mu.y, y * mu.z)
     h = np.array(hamilton(qr, qr))
     rows = np.stack(((h * h).sum(0), *(2.0 * h), np.ones_like(x), x * x, y * y),
-                    axis=-1).reshape(n, n, 8)
-    res2 = np.empty((n, n * n))
-    for a, row in zip(axis.tolist(), rows):
-        yield a, np.matmul(row, plane, out=res2)
+                    axis=-1).reshape(axis.size, axis.size, 8)
+    return rows, plane
+
+
+def _scan_residuals(spec: LatticeSpec):
+    """Yield ``(a, res2)`` for every value a <= 0, in axis order.
+
+    ``res2`` is an (n, (n*n + 1)/2) array of squared residuals |q^2 + 1|^2,
+    a's ``_scan_features`` rows times the first half of the plane: row b,
+    column c*n + d up to the centre c = d = 0. The tables are palindromes,
+    so column j stands also for column n*n - 1 - j, and row b of a for row
+    n - 1 - b of -a. The expansion cancels: res2 may be negative near a
+    root, and differs from the exact value by up to ``_SCAN_ERROR`` eps
+    (|q|^2 + 1)^2. Points whose square overflows come out inf or nan
+    (callers silence the warnings). The array is overwritten by the next a.
+    """
+    rows, plane = _scan_features(spec)
+    n = len(rows)
+    half = plane[:, :(n * n + 1) // 2]
+    res2 = np.empty((n, half.shape[1]))
+    for a, row in zip(spec.axis()[:n // 2 + 1].tolist(), rows):
+        yield a, np.matmul(row, half, out=res2)
 
 
 def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
@@ -255,14 +257,15 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     than raised. ``tol`` must be finite and positive.
 
     The scan writes |q^2 + 1|^2 as a dot product of eight features of
-    (a, b) with eight features of (c, d) (see ``_scan_residuals``), both
-    built once by ``algebra.hamilton`` with no closed form of ``roots``,
-    so each value of a costs one matrix product. Its squared residuals
-    differ from the scalar route by roundoff, so every point within a
-    roundoff margin of ``tol`` is re-checked by ``classify_coefficients``,
-    whose residual alone decides a hit. Hits come in lattice index order
-    (a, then b, c, d), and the working set is one a-slice of n^3 doubles
-    (8 MB at the point cap), whatever the grid.
+    (a, b) with eight features of (c, d), built once by ``algebra.hamilton``
+    with no closed form of ``roots``, and computes a quarter of the grid:
+    a <= 0 and half of the (c, d) plane, mirrored onto the rest (see
+    ``_scan_residuals``). Its squared residuals differ from the scalar
+    route by roundoff, so every point within a roundoff margin of ``tol``
+    is re-checked by ``classify_coefficients``, whose residual alone
+    decides a hit. Hits come in lattice index order (a, then b, c, d); the
+    working set is half an a-slice of n^3 doubles (4 MB at the point cap)
+    plus the candidate indices of each a > 0, kept until its turn.
     """
     check_tolerance("tol", tol)
     total_points = spec.point_count()
@@ -285,20 +288,33 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     mu, nu = spec.mu, spec.nu
     values = spec.axis().tolist()
     n = len(values)
+    plane = n * n
     hits: list[LatticeHit] = []
     violations: list[str] = []
+
+    def census(a: float, indices: np.ndarray) -> None:
+        for idx in indices.tolist():
+            b, c, d = values[idx // plane], values[idx // n % n], values[idx % n]
+            coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
+            try:
+                classification, residual = classify_coefficients(coeffs, tol)
+            except TheoremViolationError as exc:
+                violations.append(f"point {(a, b, c, d)}: {exc}")
+                continue
+            if not isinstance(classification, NotRoot):
+                hits.append(LatticeHit(a, b, c, d, residual, classification))
+
+    pending = []   # (-a, candidates of -a) for each a < 0
     with np.errstate(over="ignore", invalid="ignore"):
         for a, res2 in _scan_residuals(spec):
-            for idx in np.flatnonzero(res2 <= cut2).tolist():
-                b, c, d = values[idx // (n * n)], values[idx // n % n], values[idx % n]
-                coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
-                try:
-                    classification, residual = classify_coefficients(coeffs, tol)
-                except TheoremViolationError as exc:
-                    violations.append(f"point {(a, b, c, d)}: {exc}")
-                    continue
-                if not isinstance(classification, NotRoot):
-                    hits.append(LatticeHit(a, b, c, d, residual, classification))
+            b, j = np.divmod(np.flatnonzero(res2 <= cut2), res2.shape[1])
+            mirrored = j != plane // 2   # c = d = 0 is its own mirror
+            b, j = np.concatenate((b, b[mirrored])), np.concatenate((j, plane - 1 - j[mirrored]))
+            census(a, np.sort(b * plane + j))
+            if a < 0.0:
+                pending.append((-a, np.sort((n - 1 - b) * plane + j)))
+        for a, indices in reversed(pending):
+            census(a, indices)
 
     return SearchReport(tuple(hits), total_points, tol, tuple(violations))
 

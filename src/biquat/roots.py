@@ -183,8 +183,9 @@ def decompose(q: Biquaternion | Sequence[float]) -> DecomposedForm:
     """Split q into scalars a, c, moduli b, d >= 0 and unit directions.
 
     ``q`` is a Biquaternion or its 8 coefficients in canonical order.
-    Total on all inputs: at zero modulus the direction is undefined and
-    recorded as None. A negative-direction vector part is canonicalized
+    Total on all finite inputs: at zero modulus the direction is undefined
+    and recorded as None, and a modulus that overflows a double is inf with
+    a unit direction. A negative-direction vector part is canonicalized
     by flipping the direction, keeping the modulus nonnegative, so each
     biquaternion has exactly one decomposed form.
     """
@@ -210,12 +211,16 @@ def constraint_residuals(q: Biquaternion) -> Residuals:
     (mu*nu + nu*mu collapses to -2*dot(mu, nu) because the cross products
     cancel). The ``aggregate`` field is computed independently, by
     ``algebra.square_residual`` in the complex view, not from these closed
-    forms.
+    forms. A vector part whose modulus overflows a double is a
+    ``ValueError``, as is a vector component of q^2 + 1 that overflows; a
+    scalar component that overflows is +-inf.
     """
     coeffs = q.coefficients()
     form = decompose(coeffs)
     a, b, c, d = form.a, form.b, form.c, form.d
     mu, nu = form.mu, form.nu
+    if math.isinf(b) or math.isinf(d):
+        raise ValueError("q^2 overflows a double: a vector part has modulus inf")
 
     real_scalar = a * a - b * b - c * c + d * d + 1.0
     abx, aby, abz = _scaled(2.0 * a * b, mu)

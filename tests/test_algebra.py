@@ -326,6 +326,10 @@ def test_pure_unit_validation():
     # hypot(5e-324, 5e-324) rounds to 5e-324 itself
     half = math.sqrt(0.5)
     assert PureUnit.from_vector(5e-324, 5e-324, 0.0).isclose(PureUnit(half, half, 0.0), 1e-15)
+    # and hypot(1.7e308, 1.7e308) overflows to inf
+    assert PureUnit.from_vector(1.7e308, 1.7e308, 0.0).isclose(PureUnit(half, half, 0.0), 1e-15)
+    with pytest.raises(ValueError, match="finite"):
+        PureUnit.from_vector(math.inf, 0.0, 0.0)
     assert (-u).isclose(PureUnit(-0.6, -0.8, 0.0), 1e-15)
     assert u.dot(u) == pytest.approx(1.0, abs=1e-15)
     assert u.as_quaternion() == Quaternion(0, 0.6, 0.8, 0)

@@ -59,6 +59,18 @@ def test_census_cross_term_vanishes():
     assert all(sympy.expand(u - v) == 0 for u, v in zip(t2, expected))
 
 
+def test_negating_either_part_flips_only_the_imaginary_part():
+    # the census computes a quarter of the grid: with q = qr + qi I, negating
+    # qr or qi changes q^2 + 1 only by the sign of its I-part, so |q^2 + 1|
+    # is the same at (a, b, c, d), (-a, -b, c, d) and (a, b, -c, -d)
+    q = sympy.symbols("q0:8", real=True)
+    square = mul_coefficients(q, q)
+    want = [*square[:4], *(-u for u in square[4:])]
+    for signs in ([-1] * 4 + [1] * 4, [1] * 4 + [-1] * 4):
+        p = [s * u for s, u in zip(signs, q)]
+        assert all(sympy.expand(u - v) == 0 for u, v in zip(mul_coefficients(p, p), want))
+
+
 def test_square_in_the_complex_view():
     # certificate step 1: with q = w + v, w a complex scalar and v a complex
     # 3-vector (the complex unit being I), q^2 = (w^2 - v.v) + 2 w v

@@ -28,6 +28,7 @@ from biquat.oracle import (
     LatticeSpec,
     NonConvergenceError,
     _SCAN_ERROR,
+    _scan_features,
     _scan_residuals,
     lattice_search,
     refine_root,
@@ -230,15 +231,23 @@ def _brute_force_hits(spec, tol):
 def test_lattice_search_matches_brute_force():
     rng = np.random.default_rng(108)
     mu = sample_unit_pure(rng)
+    perpendicular, skew = sample_perpendicular(mu, rng), sample_unit_pure(rng)
     # a perpendicular and a skew pair off the axes (b = +/-1 and c = +/-1
-    # are the hits), and two 81-point grids whose nonzero squares overflow
-    cases = ((LatticeSpec(1.0, 0.25, mu, sample_perpendicular(mu, rng)), 4),
-             (LatticeSpec(1.0, 0.25, mu, sample_unit_pure(rng)), 4),
-             (LatticeSpec(1e200, 1e200, MU_I, NU_J), 0),
-             (LatticeSpec(1e100, 1e100, MU_I, NU_J), 0))
-    for spec, hit_count in cases:
-        report = lattice_search(spec, 1e-9)
-        assert report.hits == _brute_force_hits(spec, 1e-9)
+    # are the hits), and two 81-point grids whose nonzero squares overflow;
+    # then the mirrored scan's edges: a 3-point axis, whose hits
+    # (0, +/-1, 0, 0) lie on the a = 0 row and the centre column c = d = 0,
+    # both their own mirrors; the same axis at tol 4, with hits at a > 0
+    # and in the centre column there; and a 17^4 skew pair at tol 0.5
+    cases = ((LatticeSpec(1.0, 0.25, mu, perpendicular), 1e-9, 4),
+             (LatticeSpec(1.0, 0.25, mu, skew), 1e-9, 4),
+             (LatticeSpec(1e200, 1e200, MU_I, NU_J), 1e-9, 0),
+             (LatticeSpec(1e100, 1e100, MU_I, NU_J), 1e-9, 0),
+             (LatticeSpec(1.0, 1.0, MU_I, NU_J), 1e-9, 4),
+             (LatticeSpec(1.0, 1.0, mu, skew), 4.0, 65),
+             (LatticeSpec(2.0, 0.25, mu, skew), 0.5, 12))
+    for spec, tol, hit_count in cases:
+        report = lattice_search(spec, tol)
+        assert report.hits == _brute_force_hits(spec, tol)
         assert len(report.hits) == hit_count and report.violations == ()
         assert report.scanned == len(spec.axis()) ** 4
 
@@ -256,6 +265,29 @@ def test_lattice_filter_keeps_every_scalar_hit_at_large_tol():
             assert report.violations == ()
 
 
+def _full_scan(spec):
+    """The scan's squared residuals at every point, as an (n, n, n*n) array
+    by a, b and c*n + d, read from its half blocks through the mirror map:
+    column j is column n*n - 1 - j, and -a is a with b reversed."""
+    # each block is copied: the scan overwrites it for the next value of a
+    blocks = [np.concatenate((block, block[:, -2::-1]), axis=1)
+              for _, block in _scan_residuals(spec)]
+    return np.array(blocks + [block[::-1] for block in blocks[-2::-1]])
+
+
+def test_scan_feature_tables_are_palindromes():
+    # negating qr or qi is exact and leaves every feature unchanged, which
+    # is what lets the scan compute a quarter of the grid and mirror the rest
+    rng = np.random.default_rng(114)
+    for bound, step in ((2.0, 0.25), (3.5, 0.125), (1.0, 1.0), (1e200, 1e200)):
+        for _ in range(5):
+            spec = LatticeSpec(bound, step, sample_unit_pure(rng), sample_unit_pure(rng))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows, plane = _scan_features(spec)
+            assert rows.tobytes() == rows[::-1, ::-1].tobytes()
+            assert plane.tobytes() == plane[:, ::-1].tobytes()
+
+
 def test_scan_kernel_matches_scalar_route():
     # the bound behind lattice_search's cut, at random points of random
     # direction pairs: |square_residual^2 - res2| <= C eps (|q|^2 + 1)^2
@@ -265,13 +297,13 @@ def test_scan_kernel_matches_scalar_route():
         spec = LatticeSpec(bound, step, mu, nu)
         values = spec.axis().tolist()
         n = len(values)
-        for a, res2 in _scan_residuals(spec):
-            for idx in rng.integers(0, res2.size, 40).tolist():
-                b, c, d = values[idx // (n * n)], values[idx // n % n], values[idx % n]
-                coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
-                scalar = square_residual(coeffs)
-                size = sum(v * v for v in coeffs) + 1.0
-                assert abs(scalar * scalar - res2.flat[idx]) <= _SCAN_ERROR * EPS * size * size
+        res2 = _full_scan(spec)
+        for idx in rng.integers(0, res2.size, 40 * n).tolist():
+            a, b, c, d = (values[idx // n ** k % n] for k in (3, 2, 1, 0))
+            coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
+            scalar = square_residual(coeffs)
+            size = sum(v * v for v in coeffs) + 1.0
+            assert abs(scalar * scalar - res2.flat[idx]) <= _SCAN_ERROR * EPS * size * size
 
 
 def test_lattice_ties_are_decided_by_the_scalar_route():
@@ -309,9 +341,7 @@ def test_scan_hits_are_separated_from_misses(bound, step, nu):
     n = len(index)
     hits = {(index[h.a] * n + index[h.b]) * n * n + index[h.c] * n + index[h.d]
             for h in report.hits}
-    # each block is copied: the scan overwrites it for the next value of a
-    res2 = np.concatenate([block.ravel().copy() for _, block in _scan_residuals(spec)])
-    residuals = np.sqrt(np.clip(res2, 0.0, None))
+    residuals = np.sqrt(np.clip(_full_scan(spec).ravel(), 0.0, None))
     assert residuals.size == report.scanned
     missed = np.ones(residuals.size, dtype=bool)
     missed[list(hits)] = False

@@ -132,6 +132,26 @@ def test_decompose_reconstruction_property():
                    for a, b in zip(rebuilt.coefficients(), q.coefficients()))
 
 
+@pytest.mark.parametrize("coeffs", [
+    (0, 1.7e308, 1.7e308, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1.0, 0, -1.7e308, -1.7e308),
+], ids=["real-vector", "imaginary-vector"])
+def test_overflowing_modulus_decomposes_and_is_not_a_root(coeffs):
+    # hypot of the vector part overflows: decompose still gives a unit
+    # direction with modulus inf, the closed forms of the square refuse it,
+    # and the classifier reads the infinite residual first
+    q = Biquaternion.from_coefficients(*coeffs)
+    form = decompose(q)
+    s2 = math.sqrt(0.5)
+    if coeffs[1]:
+        assert form.b == math.inf and form.mu.isclose(PureUnit(s2, s2, 0), 1e-15)
+    else:
+        assert form.d == math.inf and form.nu.isclose(PureUnit(0, -s2, -s2), 1e-15)
+    with pytest.raises(ValueError, match="overflows a double"):
+        constraint_residuals(q)
+    assert classify_root(q) == NotRoot(math.inf)
+
+
 def test_residuals_of_exact_root_vanish():
     q = Biquaternion.from_coefficients(0, math.sqrt(2), 0, 0, 0, 0, 1, 0)
     res = constraint_residuals(q)
