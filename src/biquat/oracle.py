@@ -146,8 +146,9 @@ class LatticeSpec:
     """Grid over the decomposed coefficients with fixed directions.
 
     Each of a, b, c, d ranges over multiples of ``step`` in
-    [-bound, bound]; ``bound`` must be an integer multiple of ``step`` so
-    the grid contains 0 exactly (and +/-1 whenever step divides 1).
+    [-bound, bound]; ``bound/step`` must round, to a few ulps, to a
+    positive integer, so the grid contains 0 exactly (and +/-1 whenever
+    step divides 1) and reaches bound.
     Scanning only the four coefficients is what makes the census
     exhaustive: once mu and nu are fixed, the family structure lives
     entirely in (a, b, c, d), and one perpendicular plus one
@@ -166,9 +167,9 @@ class LatticeSpec:
         if not all(map(math.isfinite, (self.bound, self.step, ratio))):
             raise ValueError(f"bound, step and bound/step must be finite, got "
                              f"{self.bound!r}, {self.step!r} and {ratio!r}")
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
-                f"bound/step must be an integer, got {ratio!r}")
+        n = round(ratio)   # a few ulps off n is the rounding of bound/step
+        if n < 1 or abs(ratio - n) > 4.0 * sys.float_info.epsilon * n:
+            raise ValueError(f"bound/step must be a positive integer, got {ratio!r}")
 
     def axis(self) -> np.ndarray:
         n = round(self.bound / self.step)
@@ -228,23 +229,25 @@ def _scan_features(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan_residuals(spec: LatticeSpec):
-    """Yield ``(a, res2)`` for every value a <= 0, in axis order.
+    """Yield ``(r, res2)`` for every value a <= 0, in axis order.
 
     ``res2`` is an (n, (n*n + 1)/2) array of squared residuals |q^2 + 1|^2,
     a's ``_scan_features`` rows times the first half of the plane: row b,
-    column c*n + d up to the centre c = d = 0. The tables are palindromes,
-    so column j stands also for column n*n - 1 - j, and row b of a for row
-    n - 1 - b of -a. The expansion cancels: res2 may be negative near a
-    root, and differs from the exact value by up to ``_SCAN_ERROR`` eps
-    (|q|^2 + 1)^2. Points whose square overflows come out inf or nan
-    (callers silence the warnings). The array is overwritten by the next a.
+    column c*n + d up to the centre c = d = 0. ``r`` is a*n in axis
+    indices, so row b is flat row r + b of the grid. The tables are
+    palindromes, so column j stands also for column n*n - 1 - j, and flat
+    row r + b for n*n - 1 - r - b. The expansion cancels: res2 may be
+    negative near a root, and differs from the exact value by up to
+    ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. Points whose square overflows come
+    out inf or nan (callers silence the warnings). The array is
+    overwritten by the next a.
     """
     rows, plane = _scan_features(spec)
     n = len(rows)
     half = plane[:, :(n * n + 1) // 2]
     res2 = np.empty((n, half.shape[1]))
-    for a, row in zip(spec.axis()[:n // 2 + 1].tolist(), rows):
-        yield a, np.matmul(row, half, out=res2)
+    for i in range(n // 2 + 1):
+        yield i * n, np.matmul(rows[i], half, out=res2)
 
 
 def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
@@ -263,9 +266,11 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     ``_scan_residuals``). Its squared residuals differ from the scalar
     route by roundoff, so every point within a roundoff margin of ``tol``
     is re-checked by ``classify_coefficients``, whose residual alone
-    decides a hit. Hits come in lattice index order (a, then b, c, d); the
+    decides a hit. Each candidate and its three mirror images go into one
+    array of flat indices (a*n + b)*n^2 + c*n + d, sorted and deduplicated
+    once, so hits come in lattice index order (a, then b, c, d); the
     working set is half an a-slice of n^3 doubles (4 MB at the point cap)
-    plus the candidate indices of each a > 0, kept until its turn.
+    plus the candidate indices.
     """
     check_tolerance("tol", tol)
     total_points = spec.point_count()
@@ -292,29 +297,24 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     hits: list[LatticeHit] = []
     violations: list[str] = []
 
-    def census(a: float, indices: np.ndarray) -> None:
-        for idx in indices.tolist():
-            b, c, d = values[idx // plane], values[idx // n % n], values[idx % n]
-            coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
-            try:
-                classification, residual = classify_coefficients(coeffs, tol)
-            except TheoremViolationError as exc:
-                violations.append(f"point {(a, b, c, d)}: {exc}")
-                continue
-            if not isinstance(classification, NotRoot):
-                hits.append(LatticeHit(a, b, c, d, residual, classification))
-
-    pending = []   # (-a, candidates of -a) for each a < 0
+    candidates = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, res2 in _scan_residuals(spec):
+        for r, res2 in _scan_residuals(spec):
             b, j = np.divmod(np.flatnonzero(res2 <= cut2), res2.shape[1])
-            mirrored = j != plane // 2   # c = d = 0 is its own mirror
-            b, j = np.concatenate((b, b[mirrored])), np.concatenate((j, plane - 1 - j[mirrored]))
-            census(a, np.sort(b * plane + j))
-            if a < 0.0:
-                pending.append((-a, np.sort((n - 1 - b) * plane + j)))
-        for a, indices in reversed(pending):
-            census(a, indices)
+            j = np.stack((j, plane - 1 - j))
+            candidates += ((r + b) * plane + j, (plane - 1 - r - b) * plane + j)
+    # sorted(set()), not np.unique, which imports numpy.ma on first use
+    for idx in sorted(set(np.concatenate(candidates, axis=None).tolist())):
+        row, col = divmod(idx, plane)
+        a, b, c, d = values[row // n], values[row % n], values[col // n], values[col % n]
+        coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
+        try:
+            classification, residual = classify_coefficients(coeffs, tol)
+        except TheoremViolationError as exc:
+            violations.append(f"point {(a, b, c, d)}: {exc}")
+            continue
+        if not isinstance(classification, NotRoot):
+            hits.append(LatticeHit(a, b, c, d, residual, classification))
 
     return SearchReport(tuple(hits), total_points, tol, tuple(violations))
 

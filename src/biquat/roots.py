@@ -211,16 +211,13 @@ def constraint_residuals(q: Biquaternion) -> Residuals:
     (mu*nu + nu*mu collapses to -2*dot(mu, nu) because the cross products
     cancel). The ``aggregate`` field is computed independently, by
     ``algebra.square_residual`` in the complex view, not from these closed
-    forms. A vector part whose modulus overflows a double is a
-    ``ValueError``, as is a vector component of q^2 + 1 that overflows; a
-    scalar component that overflows is +-inf.
+    forms. A component that overflows a double, to inf or nan, is a
+    ``ValueError``.
     """
     coeffs = q.coefficients()
     form = decompose(coeffs)
     a, b, c, d = form.a, form.b, form.c, form.d
     mu, nu = form.mu, form.nu
-    if math.isinf(b) or math.isinf(d):
-        raise ValueError("q^2 overflows a double: a vector part has modulus inf")
 
     real_scalar = a * a - b * b - c * c + d * d + 1.0
     abx, aby, abz = _scaled(2.0 * a * b, mu)
@@ -230,9 +227,15 @@ def constraint_residuals(q: Biquaternion) -> Residuals:
         imag_scalar -= 2.0 * b * d * mu.dot(nu)
     adx, ady, adz = _scaled(2.0 * a * d, nu)
     bcx, bcy, bcz = _scaled(2.0 * b * c, mu)
+    if not (math.isfinite(real_scalar) and math.isfinite(imag_scalar)):
+        raise ValueError("q^2 overflows a double")
+    try:   # Quaternion refuses a component that is not finite
+        real_vector = Quaternion(0.0, abx - cdx, aby - cdy, abz - cdz)
+        imag_vector = Quaternion(0.0, adx + bcx, ady + bcy, adz + bcz)
+    except ValueError:
+        raise ValueError("q^2 overflows a double") from None
 
-    return Residuals(real_scalar, Quaternion(0.0, abx - cdx, aby - cdy, abz - cdz),
-                     imag_scalar, Quaternion(0.0, adx + bcx, ady + bcy, adz + bcz),
+    return Residuals(real_scalar, real_vector, imag_scalar, imag_vector,
                      square_residual(coeffs))
 
 

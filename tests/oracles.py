@@ -7,6 +7,16 @@ complex arithmetic. Agreement between the two routes is what several
 tests assert, so this module must stay free of biquat imports.
 """
 
+import os
+from pathlib import Path
+
+
+def child_env():
+    """The environment for a child Python that imports this checkout's biquat."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH")))))
+
 
 def complex_hamilton(p, q):
     """Hamilton product of two biquaternions given as 8-coefficient tuples."""

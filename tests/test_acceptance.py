@@ -46,6 +46,7 @@ from biquat.roots import (
     constraint_residuals,
     make_nontrivial_root,
 )
+from oracles import child_env
 
 MINUS_ONE = Biquaternion.from_scalar(-1.0)
 
@@ -244,7 +245,7 @@ def test_criterion_9_pure_product_identities():
 def test_criterion_10_verify_examples_cli():
     result = subprocess.run(
         [sys.executable, "-m", "biquat", "verify-examples"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     lines = result.stdout.splitlines()
     ok = (result.returncode == 0 and len(lines) == 3
           and all(line.startswith("PASS example") for line in lines))

@@ -7,12 +7,10 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import biquat
 from biquat import oracle, roots
 from biquat.algebra import (
     Biquaternion,
@@ -44,6 +42,7 @@ from biquat.roots import (
     classify_root,
     make_nontrivial_root,
 )
+from oracles import child_env
 
 SQRT2_ROOT = "0 1.4142135623730951 0 0 0 0 1 0"
 HUGE_INT_JSON = f'{{"qr": [{10 ** 400}, 0, 0, 0], "qi": [0, 0, 0, 0]}}'
@@ -351,9 +350,10 @@ def test_lattice_command(capsys):
 
 
 def test_lattice_rejects_bad_grid(capsys):
-    assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0",
-                 "--bound", "1", "--step", "0.3"]) == 2
-    assert "integer" in capsys.readouterr().err
+    for bound, step in (("1", "0.3"), ("1e-10", "1"), ("2.0000000001", "1")):
+        assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0",
+                     "--bound", bound, "--step", step]) == 2
+        assert "integer" in capsys.readouterr().err
     assert main(["lattice", "--mu", "1 0 0", "--nu", "0 1 0", "--bound", "inf"]) == 2
     assert "finite" in capsys.readouterr().err
 
@@ -548,16 +548,9 @@ def test_commands_without_oracle_do_not_load_numpy():
         print("ok")
     """)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=_child_env(), timeout=60)
+                            text=True, env=child_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
-
-
-def _child_env():
-    """The environment for a child Python that imports this checkout's biquat."""
-    src = str(Path(biquat.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
-        src, os.environ.get("PYTHONPATH")))))
 
 
 OVERFLOW_LINE = "1e200 0 0 0 0 0 0 0"
@@ -703,7 +696,7 @@ def test_closed_output_pipe_exits_quietly(tmp_path, argv):
     with stdin_path.open() as stdin:
         proc = subprocess.Popen([sys.executable, "-m", "biquat", *argv], stdin=stdin,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=_child_env())
+                                env=child_env())
         assert proc.stdout.readline()
         proc.stdout.close()    # the reader goes away, as `| head -1` does
         err = proc.stderr.read()

@@ -176,8 +176,14 @@ def test_lattice_small_bound_has_no_roots():
 def test_lattice_guards():
     with pytest.raises(ValueError, match="cap"):
         lattice_search(LatticeSpec(50.0, 0.5, MU_I, NU_J))   # 201^4 points
-    with pytest.raises(ValueError, match="integer"):
-        LatticeSpec(1.0, 0.3, MU_I, NU_J)
+    # off the grid: not a multiple, no point besides 0 (also when bound/step
+    # underflows to 0), and 1e-10 past 2
+    for bound, step in ((1.0, 0.3), (1e-10, 1.0), (5e-324, 1e300), (2.0000000001, 1.0)):
+        with pytest.raises(ValueError, match="integer"):
+            LatticeSpec(bound, step, MU_I, NU_J)
+    # bound/step rounded a few ulps off an integer is on the grid
+    for bound, step in ((0.3, 0.1), (0.7, 0.1), (4.2, 0.6), (5e-324, 5e-324)):
+        assert len(LatticeSpec(bound, step, MU_I, NU_J).axis()) == 2 * round(bound / step) + 1
     with pytest.raises(ValueError, match="positive"):
         LatticeSpec(-1.0, 0.25, MU_I, NU_J)
     for bound, step in ((math.inf, 0.25), (math.nan, 0.25), (2.0, math.inf),
@@ -273,6 +279,51 @@ def _full_scan(spec):
     blocks = [np.concatenate((block, block[:, -2::-1]), axis=1)
               for _, block in _scan_residuals(spec)]
     return np.array(blocks + [block[::-1] for block in blocks[-2::-1]])
+
+
+def test_lattice_rechecks_every_candidate_image_once(monkeypatch):
+    # the hits alone would not show a dropped or doubled image of a
+    # candidate that is no hit: watch every point the scalar route re-checks
+    checked = []
+    real = oracle.classify_coefficients
+
+    def spy(coeffs, tol):
+        checked.append(coeffs)
+        return real(coeffs, tol)
+
+    monkeypatch.setattr(oracle, "classify_coefficients", spy)
+    rng = np.random.default_rng(108)
+    mu = sample_unit_pure(rng)
+    sample_perpendicular(mu, rng)
+    skew = sample_unit_pure(rng)
+    # the grids of the brute-force test, and that of the ties test at one
+    # ulp below 0.5, where the eight points (0, +/-0.75, 0, +/-0.25) and
+    # (0, +/-1.125, 0, +/-0.875), of residual 0.5 or just above, are
+    # candidates but no hits
+    rng = np.random.default_rng(1)
+    tie_mu = sample_unit_pure(rng)
+    tie = LatticeSpec(1.125, 0.125, tie_mu, sample_perpendicular(tie_mu, rng))
+    for spec, tol, misses in ((LatticeSpec(2.0, 0.25, mu, skew), 0.5, 0),
+                              (LatticeSpec(1.0, 1.0, mu, skew), 4.0, 0),
+                              (tie, math.nextafter(0.5, 0.0), 8)):
+        checked.clear()
+        report = lattice_search(spec, tol)
+        values = spec.axis().tolist()
+        n = len(values)
+        scalar = {v: i for i, v in enumerate(values)}
+        vector = [{(v * u.x, v * u.y, v * u.z): i for i, v in enumerate(values)}
+                  for u in (spec.mu, spec.nu)]
+        points = [(scalar[p[0]], vector[0][p[1:4]], scalar[p[4]], vector[1][p[5:]])
+                  for p in checked]
+        indices = [((a * n + b) * n + c) * n + d for a, b, c, d in points]
+        assert indices == sorted(set(indices))
+        last = n - 1
+        assert {(last - a, last - b, c, d) for a, b, c, d in points} == set(points)
+        assert {(a, b, last - c, last - d) for a, b, c, d in points} == set(points)
+        under = np.flatnonzero(_full_scan(spec).ravel() <= tol * tol).tolist()
+        assert set(under) <= set(indices) and under
+        assert report.hits == _brute_force_hits(spec, tol)
+        assert len(checked) - len(report.hits) == misses
 
 
 def test_scan_feature_tables_are_palindromes():

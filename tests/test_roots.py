@@ -227,9 +227,21 @@ def test_constraint_residuals_bit_identical_to_quaternion_route():
                 == _hex_fields(*_residuals_from_quaternions(q)))
     # a closed form that overflows is an error on both routes
     q = Biquaternion.from_coefficients(1e200, 1e200, 0, 0, 0, 0, 0, 0)
-    for route in (constraint_residuals, _residuals_from_quaternions):
-        with pytest.raises(ValueError, match="must be finite"):
-            route(q)
+    with pytest.raises(ValueError, match="q\\^2 overflows a double"):
+        constraint_residuals(q)
+    with pytest.raises(ValueError, match="must be finite"):
+        _residuals_from_quaternions(q)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0, 1e200, 0, 0, 0, 0, 0, 0),          # real_scalar -inf
+    (1e200, 1e200, 0, 0, 0, 0, 0, 0),      # real_scalar nan, real_vector inf
+    (0, 1e200, 0, 0, 0, 1e200, 0, 0),      # real_scalar inf - inf = nan
+    (1e154, 1e154, 0, 0, 0, 0, 0, 0),      # real_scalar finite, 2ab inf
+])
+def test_constraint_residuals_overflow_is_one_error(coeffs):
+    with pytest.raises(ValueError, match="q\\^2 overflows a double"):
+        constraint_residuals(Biquaternion.from_coefficients(*coeffs))
 
 
 def test_residual_closed_forms_match_generic_product():
