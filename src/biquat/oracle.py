@@ -15,9 +15,11 @@ The census scan writes the squared residual |q^2 + 1|^2 as a dot
 product of eight features of (a, b) with eight features of (c, d), both
 built once per scan through ``algebra.hamilton``, the one copy of the
 product formula, with none of the closed forms of ``roots``. Negating qr
-or qi in q = qr + qi*I flips only the sign of the I-part of q^2 + 1, so
-a quarter of the grid is computed, one matrix product per a <= 0, and
-each other point takes its mirror's value. Its values differ from the
+or qi in q = qr + qi*I flips only the sign of the I-part of q^2 + 1, and
+conjugating both parts, (a, b, c, d) -> (a, -b, c, -d), conjugates
+q^2 + 1; so an eighth of the grid is computed, one matrix product per
+a <= 0 over b <= 0, and each other point takes the value of its
+representative there. Its values differ from the
 scalar route (``algebra.square_residual``, which squares in the complex
 view) by roundoff, so each point near the tolerance is decided by
 ``classify_coefficients``. Newton stays in the complex view: it iterates
@@ -75,7 +77,13 @@ _T_MAX = math.acosh(sys.float_info.max)   # the largest t whose cosh is finite
 # (27 + 8) * 2 = 70 eps (|q|^2 + 1)^2 of the exact squared residual; the
 # constant more than triples that, for the eps^2 terms and for |mu| and
 # |nu| being 1 only to within 1e-9.
-# A mirrored point's value is its mirror's, bit for bit, so the bound covers it.
+# A point off the scanned eighth takes the value of its representative.
+# Negating qr or qi gives the same features bit for bit. Conjugation,
+# (b, d) -> (-b, -d), does not: the features' sums add negated products to
+# unnegated ones, which round apart. But the conjugate's stored
+# coefficients are exact negations of the representative's, so the two
+# points have the same |q| and, as conjugation conjugates q^2 + 1, the same
+# exact residual; the bound, which speaks only of those, covers both.
 _SCAN_ERROR = 256.0
 
 
@@ -201,53 +209,37 @@ class SearchReport:
 
 
 def _scan_features(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, n, 8) table of (a, b) features and the (8, n*n) one of (c, d).
+    """The (k, k, 8) table of (a, b) features and the (8, (n*n + 1)/2) one
+    of (c, d), for an axis of n values and k = n//2 + 1.
 
-    Rows are [a, b] and columns c*n + d, in axis indices. For q = qr + qi*I
-    with qr = a + b*m and m = (0, mu), q^2 + 1 = (h + t0) + (a*t1 + b*t2)*I
-    with h = qr*qr, t0 = 1 - qi*qi, t1 = 2*qi and t2 = m*qi + qi*m, each from
+    Rows are [a, b] for a, b <= 0 and columns c*n + d up to the centre
+    c = d = 0, in axis indices. For q = qr + qi*I with qr = a + b*m and
+    m = (0, mu), q^2 + 1 = (h + t0) + (a*t1 + b*t2)*I with h = qr*qr,
+    t0 = 1 - qi*qi, t1 = 2*qi and t2 = m*qi + qi*m, each from
     ``algebra.hamilton`` on the stored floats. As t1.t2 = 0 for any
     qi = (c, V) (t2 = (-2 m.V, 2c m)), |q^2 + 1|^2 is the dot product of the
     (a, b) features [|h|^2, 2h_0..2h_3, 1, a^2, b^2] with the (c, d) features
     [1, t0_0..t0_3, |t0|^2, |t1|^2, |t2|^2]. The axis is symmetric and
-    negation exact, so both tables equal their reverses bit for bit.
+    negation exact, so the features of (-a, -b) and of (-c, -d) are these,
+    bit for bit; those of (a, -b) and of (c, -d) are not (see ``_SCAN_ERROR``).
     """
     axis = spec.axis()
+    n = axis.size
     mu, nu = spec.mu, spec.nu
     # the first axis outermost: (c, d) for the plane, (a, b) for the rows
-    x, y = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    x, y = (g.ravel()[:(n * n + 1) // 2] for g in np.meshgrid(axis, axis, indexing="ij"))
     qi, m = (x, y * nu.x, y * nu.y, y * nu.z), (0.0, mu.x, mu.y, mu.z)
     t0 = -np.array(hamilton(qi, qi))
     t0[0] += 1.0
     t1, t2 = 2.0 * np.array(qi), np.add(hamilton(m, qi), hamilton(qi, m))
     plane = np.stack((np.ones_like(x), *t0, *((t * t).sum(0) for t in (t0, t1, t2))))
+    k = n // 2 + 1
+    x, y = (g.ravel() for g in np.meshgrid(axis[:k], axis[:k], indexing="ij"))
     qr = (x, y * mu.x, y * mu.y, y * mu.z)
     h = np.array(hamilton(qr, qr))
     rows = np.stack(((h * h).sum(0), *(2.0 * h), np.ones_like(x), x * x, y * y),
-                    axis=-1).reshape(axis.size, axis.size, 8)
+                    axis=-1).reshape(k, k, 8)
     return rows, plane
-
-
-def _scan_residuals(spec: LatticeSpec):
-    """Yield ``(r, res2)`` for every value a <= 0, in axis order.
-
-    ``res2`` is an (n, (n*n + 1)/2) array of squared residuals |q^2 + 1|^2,
-    a's ``_scan_features`` rows times the first half of the plane: row b,
-    column c*n + d up to the centre c = d = 0. ``r`` is a*n in axis
-    indices, so row b is flat row r + b of the grid. The tables are
-    palindromes, so column j stands also for column n*n - 1 - j, and flat
-    row r + b for n*n - 1 - r - b. The expansion cancels: res2 may be
-    negative near a root, and differs from the exact value by up to
-    ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. Points whose square overflows come
-    out inf or nan (callers silence the warnings). The array is
-    overwritten by the next a.
-    """
-    rows, plane = _scan_features(spec)
-    n = len(rows)
-    half = plane[:, :(n * n + 1) // 2]
-    res2 = np.empty((n, half.shape[1]))
-    for i in range(n // 2 + 1):
-        yield i * n, np.matmul(rows[i], half, out=res2)
 
 
 def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
@@ -261,15 +253,19 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
 
     The scan writes |q^2 + 1|^2 as a dot product of eight features of
     (a, b) with eight features of (c, d), built once by ``algebra.hamilton``
-    with no closed form of ``roots``, and computes a quarter of the grid:
-    a <= 0 and half of the (c, d) plane, mirrored onto the rest (see
-    ``_scan_residuals``). Its squared residuals differ from the scalar
-    route by roundoff, so every point within a roundoff margin of ``tol``
-    is re-checked by ``classify_coefficients``, whose residual alone
-    decides a hit. Each candidate and its three mirror images go into one
-    array of flat indices (a*n + b)*n^2 + c*n + d, sorted and deduplicated
-    once, so hits come in lattice index order (a, then b, c, d); the
-    working set is half an a-slice of n^3 doubles (4 MB at the point cap)
+    with no closed form of ``roots``, and computes an eighth of the grid:
+    a <= 0 and b <= 0 against the first half of the (c, d) plane, one
+    matrix product per a. Every other point takes the value of its
+    representative there under the sign maps (a, b) -> (-a, -b),
+    (c, d) -> (-c, -d) and (b, d) -> (-b, -d), which leave |q^2 + 1|
+    unchanged. The values may be negative near a root, and differ from the
+    exact ones by up to ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. So every point
+    within a roundoff margin of ``tol`` is re-checked by
+    ``classify_coefficients``, whose residual alone decides a hit. Each
+    candidate's eight images go into one array of flat indices
+    (a*n + b)*n^2 + c*n + d, sorted and deduplicated once, so hits come in
+    lattice index order (a, then b, c, d); the working set is one block of
+    k*(n*n + 1)/2 doubles, k = n//2 + 1 (about 2 MB at the point cap),
     plus the candidate indices.
     """
     check_tolerance("tol", tol)
@@ -299,12 +295,25 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
 
     candidates = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for r, res2 in _scan_residuals(spec):
-            b, j = np.divmod(np.flatnonzero(res2 <= cut2), res2.shape[1])
-            j = np.stack((j, plane - 1 - j))
-            candidates += ((r + b) * plane + j, (plane - 1 - r - b) * plane + j)
+        rows, half = _scan_features(spec)
+        k, width = len(rows), half.shape[1]
+        res2 = np.empty((k, width))
+        for a in range(k):
+            np.matmul(rows[a], half, out=res2)
+            candidates.append(np.flatnonzero(res2 <= cut2) + a * k * width)
+    # In axis indices, a candidate (a, b, c*n + d) lies in flat row a*n + b
+    # and column c*n + d, its conjugate (b, d) -> (-b, -d) in row
+    # a*n + n-1-b and column c*n + n-1-d, and negating qr or qi reverses a
+    # flat row or column, r -> n*n - 1 - r.
+    ab, cd = np.divmod(np.concatenate(candidates), width)
+    ia, ib = np.divmod(ab, k)
+    id_ = cd % n
+    image_rows = np.stack((ia * n + ib, ia * n + n - 1 - ib))
+    image_cols = np.stack((cd, cd - id_ + n - 1 - id_))
+    images = [r * plane + c for r in (image_rows, plane - 1 - image_rows)
+              for c in (image_cols, plane - 1 - image_cols)]
     # sorted(set()), not np.unique, which imports numpy.ma on first use
-    for idx in sorted(set(np.concatenate(candidates, axis=None).tolist())):
+    for idx in sorted(set(np.concatenate(images, axis=None).tolist())):
         row, col = divmod(idx, plane)
         a, b, c, d = values[row // n], values[row % n], values[col // n], values[col % n]
         coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)

@@ -1,5 +1,6 @@
 """Symbolic identities the numerics rely on, and property tests of the
-wire format, the residual, the classifier and the CLI's exit codes.
+wire format, the residual, the classifier, the lattice census and the
+CLI's exit codes.
 
 The identities run the library's own product formulas (``algebra.hamilton``
 and ``algebra.mul_coefficients`` take any number type) on sympy symbols and
@@ -29,6 +30,7 @@ from biquat.algebra import (
     square_residual,
 )
 from biquat.cli import format_coefficients, main, parse_coefficients
+from biquat.oracle import LatticeSpec, lattice_search
 from biquat.roots import (
     Nontrivial,
     RootClassification,
@@ -38,6 +40,7 @@ from biquat.roots import (
     decompose,
     make_nontrivial_root,
 )
+from test_oracle import _brute_force_hits
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -60,15 +63,27 @@ def test_census_cross_term_vanishes():
 
 
 def test_negating_either_part_flips_only_the_imaginary_part():
-    # the census computes a quarter of the grid: with q = qr + qi I, negating
-    # qr or qi changes q^2 + 1 only by the sign of its I-part, so |q^2 + 1|
-    # is the same at (a, b, c, d), (-a, -b, c, d) and (a, b, -c, -d)
+    # two of the census's three sign maps: with q = qr + qi I, negating qr
+    # or qi changes q^2 + 1 only by the sign of its I-part, so |q^2 + 1| is
+    # the same at (a, b, c, d), (-a, -b, c, d) and (a, b, -c, -d)
     q = sympy.symbols("q0:8", real=True)
     square = mul_coefficients(q, q)
     want = [*square[:4], *(-u for u in square[4:])]
     for signs in ([-1] * 4 + [1] * 4, [1] * 4 + [-1] * 4):
         p = [s * u for s, u in zip(signs, q)]
         assert all(sympy.expand(u - v) == 0 for u, v in zip(mul_coefficients(p, p), want))
+
+
+def test_negating_the_vector_coefficients_negates_those_of_the_square():
+    # the census's third sign map, which lets it compute an eighth of the
+    # grid: conjugating both parts of q negates its six vector coefficients
+    # and those of q^2 and q^2 + 1, so |q^2 + 1| is the same at (a, b, c, d)
+    # and (a, -b, c, -d)
+    q = sympy.symbols("q0:8", real=True)
+    signs = [1, -1, -1, -1] * 2
+    p = [s * u for s, u in zip(signs, q)]
+    want = [s * u for s, u in zip(signs, mul_coefficients(q, q))]
+    assert all(sympy.expand(u - v) == 0 for u, v in zip(mul_coefficients(p, p), want))
 
 
 def test_square_in_the_complex_view():
@@ -212,6 +227,29 @@ def test_make_nontrivial_root_round_trips_through_the_classifier(directions, t):
     assert isinstance(classification, Nontrivial)
     assert classification.mu.isclose(mu, 1e-15) and classification.nu.isclose(nu, 1e-15)
     assert math.isclose(classification.t, t, rel_tol=1e-13)
+
+
+UNIT = st.builds(_unit, UNIT_VECTOR)
+# random pairs, nu = +-mu, and exactly perpendicular pairs of axes
+DIRECTION_PAIRS = (st.tuples(UNIT, UNIT)
+                   | st.builds(lambda mu, s: (mu, PureUnit(s * mu.x, s * mu.y, s * mu.z)),
+                               UNIT, st.sampled_from((1.0, -1.0)))
+                   | st.permutations((PureUnit(1, 0, 0), PureUnit(0, 1, 0),
+                                      PureUnit(0, 0, 1))).map(lambda axes: axes[:2]))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(DIRECTION_PAIRS, st.integers(1, 4), st.floats(0.125, 1.5),
+       st.sampled_from((1e-9, 0.0625, 0.5, 4.0)))
+@example((PureUnit(1, 0, 0), PureUnit(0, 1, 0)), 4, 0.25, 1e-9)
+@example((PureUnit(0, 0, 1), PureUnit(0, 0, -1)), 4, 0.5, 4.0)
+def test_lattice_search_is_the_brute_force_census(directions, half, step, tol):
+    # the scan computes an eighth of the grid and re-checks each candidate's
+    # eight images; point by point, the scalar route must find the same hits
+    spec = LatticeSpec(half * step, step, *directions)
+    report = lattice_search(spec, tol)
+    assert report.hits == _brute_force_hits(spec, tol)
+    assert report.violations == ()
 
 
 # roots as the CLI reads them: make_nontrivial_root at t = 0 is exactly the unit pure mu

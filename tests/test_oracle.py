@@ -29,7 +29,6 @@ from biquat.oracle import (
     NonConvergenceError,
     _SCAN_ERROR,
     _scan_features,
-    _scan_residuals,
     lattice_search,
     refine_root,
     sample_perpendicular,
@@ -271,14 +270,34 @@ def test_lattice_filter_keeps_every_scalar_hit_at_large_tol():
             assert report.violations == ()
 
 
+def _scan_blocks(spec):
+    """The scan's squared residuals over its representatives, as a
+    (k, k, (n*n + 1)/2) array by a <= 0, b <= 0 and c*n + d up to the
+    centre: one matrix product per value of a, as in lattice_search."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, half = _scan_features(spec)
+        return np.array([np.matmul(row, half) for row in rows])
+
+
 def _full_scan(spec):
     """The scan's squared residuals at every point, as an (n, n, n*n) array
-    by a, b and c*n + d, read from its half blocks through the mirror map:
-    column j is column n*n - 1 - j, and -a is a with b reversed."""
-    # each block is copied: the scan overwrites it for the next value of a
-    blocks = [np.concatenate((block, block[:, -2::-1]), axis=1)
-              for _, block in _scan_residuals(spec)]
-    return np.array(blocks + [block[::-1] for block in blocks[-2::-1]])
+    by a, b and c*n + d: each point takes its representative's value
+    through the eight sign maps, the conjugation (b, d) -> (-b, -d) and the
+    reversals of a flat row (a, b) or column (c, d)."""
+    blocks = _scan_blocks(spec)
+    k, _, width = blocks.shape
+    n = 2 * k - 1
+    a, b, j = np.ix_(range(k), range(k), range(width))
+    d = j % n
+    full = np.empty((n, n, n * n))
+    covered = np.zeros(full.shape, dtype=bool)
+    for b_image, j_image in ((b, j), (n - 1 - b, j - d + n - 1 - d)):
+        for a_row, b_row in ((a, b_image), (n - 1 - a, n - 1 - b_image)):
+            for col in (j_image, n * n - 1 - j_image):
+                full[a_row, b_row, col] = blocks
+                covered[a_row, b_row, col] = True
+    assert covered.all()
+    return full
 
 
 def test_lattice_rechecks_every_candidate_image_once(monkeypatch):
@@ -320,41 +339,60 @@ def test_lattice_rechecks_every_candidate_image_once(monkeypatch):
         last = n - 1
         assert {(last - a, last - b, c, d) for a, b, c, d in points} == set(points)
         assert {(a, b, last - c, last - d) for a, b, c, d in points} == set(points)
+        assert {(a, last - b, c, last - d) for a, b, c, d in points} == set(points)
         under = np.flatnonzero(_full_scan(spec).ravel() <= tol * tol).tolist()
         assert set(under) <= set(indices) and under
         assert report.hits == _brute_force_hits(spec, tol)
         assert len(checked) - len(report.hits) == misses
 
 
-def test_scan_feature_tables_are_palindromes():
+def test_scan_feature_tables_are_palindromes(monkeypatch):
     # negating qr or qi is exact and leaves every feature unchanged, which
-    # is what lets the scan compute a quarter of the grid and mirror the rest
+    # is what lets (-a, -b) and (-c, -d) take the scanned points' values:
+    # the tables built on the reversed axis, for a, b >= 0 and the last half
+    # of the (c, d) plane in reverse, equal the scanned ones bit for bit
     rng = np.random.default_rng(114)
     for bound, step in ((2.0, 0.25), (3.5, 0.125), (1.0, 1.0), (1e200, 1e200)):
         for _ in range(5):
             spec = LatticeSpec(bound, step, sample_unit_pure(rng), sample_unit_pure(rng))
-            with np.errstate(over="ignore", invalid="ignore"):
+            reverse = spec.axis()[::-1]
+            with np.errstate(over="ignore", invalid="ignore"), monkeypatch.context() as patch:
                 rows, plane = _scan_features(spec)
-            assert rows.tobytes() == rows[::-1, ::-1].tobytes()
-            assert plane.tobytes() == plane[:, ::-1].tobytes()
+                patch.setattr(LatticeSpec, "axis", lambda self: reverse)
+                mirrored = _scan_features(spec)
+            n = len(reverse)
+            assert rows.shape == (n // 2 + 1, n // 2 + 1, 8)
+            assert plane.shape == (8, (n * n + 1) // 2)
+            assert rows.tobytes() == mirrored[0].tobytes()
+            assert plane.tobytes() == mirrored[1].tobytes()
 
 
 def test_scan_kernel_matches_scalar_route():
     # the bound behind lattice_search's cut, at random points of random
-    # direction pairs: |square_residual^2 - res2| <= C eps (|q|^2 + 1)^2
+    # perpendicular and skew pairs: the scan value of a representative
+    # (a <= 0, b <= 0, c*n + d up to the centre) is within C eps (|q|^2 + 1)^2
+    # of square_residual^2 at each of its eight images, which take its value.
+    # The conjugate (a, -b, c, -d) has other features, and so another scan
+    # value, but the same exact residual as the representative.
     rng = np.random.default_rng(107)
     for bound, step in ((2.0, 0.25), (3.5, 0.125), (1.5, 0.5)):
-        mu, nu = sample_unit_pure(rng), sample_unit_pure(rng)
-        spec = LatticeSpec(bound, step, mu, nu)
-        values = spec.axis().tolist()
-        n = len(values)
-        res2 = _full_scan(spec)
-        for idx in rng.integers(0, res2.size, 40 * n).tolist():
-            a, b, c, d = (values[idx // n ** k % n] for k in (3, 2, 1, 0))
-            coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
-            scalar = square_residual(coeffs)
-            size = sum(v * v for v in coeffs) + 1.0
-            assert abs(scalar * scalar - res2.flat[idx]) <= _SCAN_ERROR * EPS * size * size
+        mu = sample_unit_pure(rng)
+        for nu in (sample_perpendicular(mu, rng), sample_unit_pure(rng)):
+            spec = LatticeSpec(bound, step, mu, nu)
+            values = spec.axis().tolist()
+            n = len(values)
+            blocks = _scan_blocks(spec)
+            for idx in rng.integers(0, blocks.size, 40 * n).tolist():
+                ia, ib, j = np.unravel_index(idx, blocks.shape)
+                a, b, c, d = values[ia], values[ib], values[j // n], values[j % n]
+                # negate qr, negate qi, conjugate
+                for r, i, s in itertools.product((1.0, -1.0), repeat=3):
+                    coeffs = (r * a, r * s * b * mu.x, r * s * b * mu.y, r * s * b * mu.z,
+                              i * c, i * s * d * nu.x, i * s * d * nu.y, i * s * d * nu.z)
+                    scalar = square_residual(coeffs)
+                    size = sum(v * v for v in coeffs) + 1.0
+                    assert abs(scalar * scalar - blocks.flat[idx]) \
+                        <= _SCAN_ERROR * EPS * size * size
 
 
 def test_lattice_ties_are_decided_by_the_scalar_route():
