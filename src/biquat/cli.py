@@ -53,6 +53,28 @@ class ParseError(ValueError):
     """Malformed wire-format input; the message locates the bad token."""
 
 
+def _number(tok: str, where: str) -> float:
+    """The wire format's number: a finite ASCII token that ``float`` reads,
+    without a digit-grouping "_"; ``where`` prefixes the error messages."""
+    try:
+        if not tok.isascii() or "_" in tok:   # float reads these; the output never writes them
+            raise ValueError
+        value = float(tok)
+    except ValueError:
+        raise ParseError(f"{where}: {tok!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: {tok!r} is not finite")
+    return value
+
+
+class _Token(str):
+    """The source text of a JSON number, ``NaN`` and ``Infinity`` included."""
+
+
+# built once: json.loads with hooks builds a new decoder on every call
+_JSON_DECODER = json.JSONDecoder(parse_float=_Token, parse_int=_Token, parse_constant=_Token)
+
+
 def _parse_numbers(text: str, count: int, name: str = "") -> list[float]:
     """``count`` finite numbers from ``text``; ``name`` prefixes the error messages."""
     tokens = text.split()
@@ -66,29 +88,23 @@ def _parse_numbers(text: str, count: int, name: str = "") -> list[float]:
             return values
     except ValueError:
         pass
-    # locate the bad token
+    # locate the bad token; there is none after non-ASCII whitespace or a sum that overflowed
     where = f"{name} token" if name else "token"
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            if not tok.isascii() or "_" in tok:   # float reads these; the output never writes them
-                raise ValueError
-            value = float(tok)
-        except ValueError:
-            raise ParseError(f"{where} {pos}: {tok!r} is not a number") from None
-        if not math.isfinite(value):
-            raise ParseError(f"{where} {pos}: {tok!r} is not finite")
-    return values   # none is bad: non-ASCII whitespace, or finite values whose sum overflowed
+    return [_number(tok, f"{where} {pos}") for pos, tok in enumerate(tokens, start=1)]
 
 
 def parse_coefficients(text: str) -> list[float]:
     """Parse the 8-number text form or the {"qr": [...], "qi": [...]} form.
 
-    Returns the 8 finite coefficients in canonical order.
+    Returns the 8 finite coefficients in canonical order. Both forms read a
+    number by ``_number``; a JSON number by its source text, so ``-0`` is
+    negative zero and an integer of any length reads as ``float`` reads its
+    digits, as in the text form.
     """
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(stripped)
+            obj = _JSON_DECODER.decode(stripped)
         except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
             raise ParseError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or set(obj) != {"qr", "qi"}:
@@ -99,15 +115,9 @@ def parse_coefficients(text: str) -> list[float]:
             if not isinstance(part, list) or len(part) != 4:
                 raise ParseError(f'"{key}" must be a list of 4 numbers')
             for pos, entry in enumerate(part):
-                if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                if not isinstance(entry, _Token):   # a string, true, false, null, list or object
                     raise ParseError(f'"{key}"[{pos}]: {entry!r} is not a number')
-                try:
-                    value = float(entry)   # OverflowError: an int beyond the double range
-                except OverflowError:
-                    value = math.inf
-                if not math.isfinite(value):
-                    raise ParseError(f'"{key}"[{pos}]: {entry!r} is not finite')
-                coeffs.append(value)
+                coeffs.append(_number(entry, f'"{key}"[{pos}]'))
         return coeffs
     return _parse_numbers(stripped, 8)
 

@@ -63,7 +63,8 @@ _NEWTON_TARGET = 1e-12
 _T_MAX = math.acosh(sys.float_info.max)   # the largest t whose cosh is finite
 
 # Error of the scan's squared residual, in units of eps (|q|^2 + 1)^2.
-# The eight terms F_j G_j of ``_scan_residuals`` have moduli adding up to
+# The eight terms F_j G_j, products of ``_scan_features``' two tables, have
+# moduli adding up to
 #   |h|^2 + 2|h||t0| + |t0|^2 + a^2 |t1|^2 + b^2 |t2|^2
 #   <= (|h| + |t0|)^2 + 4 |qr|^2 |qi|^2 <= 2 (|q|^2 + 1)^2,
 # with |h| = |qr|^2, |t0| <= 1 + |qi|^2 and |t1|, |t2| <= 2|qi|. Each

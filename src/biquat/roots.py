@@ -227,16 +227,13 @@ def constraint_residuals(q: Biquaternion) -> Residuals:
         imag_scalar -= 2.0 * b * d * mu.dot(nu)
     adx, ady, adz = _scaled(2.0 * a * d, nu)
     bcx, bcy, bcz = _scaled(2.0 * b * c, mu)
-    if not (math.isfinite(real_scalar) and math.isfinite(imag_scalar)):
+    real_vector = (abx - cdx, aby - cdy, abz - cdz)
+    imag_vector = (adx + bcx, ady + bcy, adz + bcz)
+    if not all(map(math.isfinite, (real_scalar, imag_scalar, *real_vector, *imag_vector))):
         raise ValueError("q^2 overflows a double")
-    try:   # Quaternion refuses a component that is not finite
-        real_vector = Quaternion(0.0, abx - cdx, aby - cdy, abz - cdz)
-        imag_vector = Quaternion(0.0, adx + bcx, ady + bcy, adz + bcz)
-    except ValueError:
-        raise ValueError("q^2 overflows a double") from None
 
-    return Residuals(real_scalar, real_vector, imag_scalar, imag_vector,
-                     square_residual(coeffs))
+    return Residuals(real_scalar, Quaternion(0.0, *real_vector), imag_scalar,
+                     Quaternion(0.0, *imag_vector), square_residual(coeffs))
 
 
 def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassification:

@@ -147,6 +147,41 @@ def test_json_form_round_trips_bit_exactly(coeffs):
     assert _bits(parse_coefficients(text)) == _bits(coeffs)
 
 
+# number tokens that are valid in both wire forms, and finite: repr of a
+# double, decimal integers beyond 17 digits, signed zeros, exponent forms
+NUMBER_TOKEN = (FINITE.map(repr)
+                | st.integers(-10 ** 30, 10 ** 30).map(str)
+                | st.sampled_from(["-0", "-0.0", "0", "0.0", "-0e5", "0E-3"])
+                | st.builds("{}{}.{}{}{}".format, st.sampled_from(["", "-"]),
+                            st.integers(0, 10 ** 20), st.integers(0, 10 ** 6),
+                            st.sampled_from(["e", "E", "e+", "E-", "e-"]),
+                            st.integers(0, 280)))
+
+
+def _run_cli(argv, line):
+    """Exit code, stdout and stderr of ``main(argv)`` on one stdin line."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(line + "\n")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, database=None)   # 8 CLI runs an example
+@given(st.tuples(*[NUMBER_TOKEN] * 8))
+@example(("-0", "0", "-0.0", "0", "-0", "0", "0", "0"))
+@example(("123456789012345678901234567890", "-1E+280", "1e-330", "5e-324",
+          "1.7976931348623157e+308", "-0", "1.000000000000000000001", "0"))
+def test_text_and_json_forms_are_one_format(tokens):
+    # the same 8 tokens as a text line and as {"qr", "qi"}: the same doubles
+    # bit for bit, and the same square and classify runs
+    text = " ".join(tokens)
+    structured = f'{{"qr": [{", ".join(tokens[:4])}], "qi": [{", ".join(tokens[4:])}]}}'
+    assert _bits(parse_coefficients(text)) == _bits(parse_coefficients(structured))
+    for argv in (["square"], ["square", "--json"], ["classify"], ["classify", "--json"]):
+        assert _run_cli(argv, text) == _run_cli(argv, structured)
+
+
 @PROPERTY
 @given(EIGHT_FINITE)
 @example(EDGES)

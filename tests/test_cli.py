@@ -46,6 +46,9 @@ from oracles import child_env
 
 SQRT2_ROOT = "0 1.4142135623730951 0 0 0 0 1 0"
 HUGE_INT_JSON = f'{{"qr": [{10 ** 400}, 0, 0, 0], "qi": [0, 0, 0, 0]}}'
+# more digits than int() converts (4300 by default); str(10 ** 4999) raises too
+LONG_INT = "1" + "0" * 4999
+LONG_INT_JSON = f'{{"qr": [{LONG_INT}, 0, 0, 0], "qi": [0, 0, 0, 0]}}'
 NESTED_JSON = '{"qr": ' + "[" * 1000 + "]" * 1000 + ', "qi": [0, 0, 0, 0]}'
 # no root (a = 1, v = jI): given a faked residual of 0 it fails both family checks
 VIOLATION = "1 0 0 0 0 0 1 0"
@@ -89,11 +92,14 @@ def test_parse_errors_carry_position():
         parse_biquaternion('{"qr": [1, 2], "qi": [5, 6, 7, 8]}')
     with pytest.raises(ParseError, match="JSON"):
         parse_biquaternion("{ not json }")
-    with pytest.raises(ParseError, match=re.escape('"qr"[0]: inf is not finite')):
+    # a JSON number is read from its source text, as a text token is
+    with pytest.raises(ParseError, match=re.escape('"qr"[0]: \'Infinity\' is not finite')):
         parse_biquaternion('{"qr": [Infinity, 0, 0, 0], "qi": [0, 0, 0, 0]}')
-    with pytest.raises(ParseError, match=re.escape(f'"qr"[0]: {10 ** 400} is not finite')):
+    with pytest.raises(ParseError, match=re.escape(f'"qr"[0]: \'{10 ** 400}\' is not finite')):
         parse_biquaternion(HUGE_INT_JSON)
-    # nesting deeper than the interpreter's recursion limit: json.loads cannot decode it
+    with pytest.raises(ParseError, match=re.escape(f'"qr"[0]: \'{LONG_INT}\' is not finite')):
+        parse_biquaternion(LONG_INT_JSON)
+    # nesting deeper than the interpreter's recursion limit: json cannot decode it
     with pytest.raises(ParseError, match="^invalid JSON: maximum recursion depth"):
         parse_biquaternion(NESTED_JSON)
     # float reads digit grouping and non-ASCII digits; the format has neither
@@ -146,10 +152,11 @@ def test_classify_not_a_root_exits_one(capsys):
 
 @pytest.mark.parametrize("command", ["classify", "square", "table"])
 def test_huge_json_integer_is_a_usage_error(capsys, command):
-    assert main([command, HUGE_INT_JSON]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert 'error: "qr"[0]: 1000' in captured.err and "is not finite" in captured.err
+    for text in (HUGE_INT_JSON, LONG_INT_JSON):
+        assert main([command, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert 'error: "qr"[0]: \'1000' in captured.err and "is not finite" in captured.err
 
 
 def test_classify_json(capsys):

@@ -166,6 +166,18 @@ def test_lattice_census_nonperpendicular():
     assert not any(isinstance(h.classification, Nontrivial) for h in report.hits)
 
 
+def test_lattice_census_is_sound_on_random_perpendicular_pairs():
+    # the cut keeps a point whose scan value lies up to _SCAN_ERROR eps s^2
+    # above near^2: without that margin some of these pairs lose exact roots
+    rng = np.random.default_rng(3)
+    for pair in range(200):
+        mu = sample_unit_pure(rng)
+        report = lattice_search(LatticeSpec(2.0, 0.25, mu, sample_perpendicular(mu, rng)))
+        assert report.violations == (), pair
+        assert {(h.a, h.b, h.c, h.d): type(h.classification)
+                for h in report.hits} == PERPENDICULAR_HITS, pair
+
+
 def test_lattice_small_bound_has_no_roots():
     report = lattice_search(LatticeSpec(0.5, 0.25, MU_I, NU_J), 1e-9)
     assert report.hits == ()
