@@ -132,7 +132,8 @@ class PureUnit:
 
         A modulus below the smallest normal double keeps only a few bits,
         and one above the largest is inf, so such a vector is first scaled
-        by an exact power of two.
+        by an exact power of two. A non-finite component is a ValueError
+        that names it.
         """
         n = math.hypot(x, y, z)
         if n == 0.0:
@@ -141,6 +142,7 @@ class PureUnit:
             x, y, z = x * 2.0 ** 600, y * 2.0 ** 600, z * 2.0 ** 600
             n = math.hypot(x, y, z)
         elif n > sys.float_info.max:
+            _check_finite("PureUnit", x, y, z)   # an inf component would end as inf / inf
             x, y, z = x * 2.0 ** -600, y * 2.0 ** -600, z * 2.0 ** -600
             n = math.hypot(x, y, z)
         return cls(x / n, y / n, z / n)
@@ -290,24 +292,40 @@ def square_residual(q: Biquaternion | Sequence[float]) -> float:
 
     ``q`` is a Biquaternion or its 8 coefficients in canonical order. The
     square is taken in the complex view q = w + v, where
-    q^2 + 1 = (w^2 - v.v + 1) + 2wv (see ``complex_residual``). A finite q
+    q^2 + 1 = (w^2 - v.v + 1) + 2wv (see ``square_plus_one``). A finite q
     whose square overflows gets ``inf``, not an error.
     """
-    c = q.coefficients() if isinstance(q, Biquaternion) else q
+    c = coefficients_of(q)
     return complex_residual(complex(c[0], c[4]), complex(c[1], c[5]),
                             complex(c[2], c[6]), complex(c[3], c[7]))
+
+
+def coefficients_of(q: Biquaternion | Sequence[float]) -> Sequence[float]:
+    """The 8 coefficients of a Biquaternion, or a sequence checked to hold 8."""
+    c = q.coefficients() if isinstance(q, Biquaternion) else q
+    if len(c) != 8:
+        raise ValueError(f"expected 8 coefficients, got {len(c)}")
+    return c
+
+
+def square_plus_one(w: complex, x: complex, y: complex, z: complex) -> tuple:
+    """The complex components of ``q^2 + 1`` for ``q = w + x*i + y*j + z*k``.
+
+    In the complex view q = w + v, q^2 + 1 = (w^2 - v.v + 1) + 2wv, so the
+    components are w^2 - (x^2 + y^2 + z^2) + 1 and 2w times x, y and z.
+    Entries may be any number type, sympy symbols included.
+    """
+    w2 = w + w
+    return w * w - (x * x + y * y + z * z) + 1.0, w2 * x, w2 * y, w2 * z
 
 
 def complex_residual(w: complex, x: complex, y: complex, z: complex) -> float:
     """``square_residual`` of the complex components ``w + x*i + y*j + z*k``.
 
-    The four complex components of q^2 + 1 are s = w^2 - (x^2 + y^2 + z^2) + 1
-    and 2w times x, y and z; their 8 parts go to ``math.hypot`` in canonical
+    The 8 parts of ``square_plus_one`` go to ``math.hypot`` in canonical
     order. Overflow gives ``inf``, never ``nan``.
     """
-    s = w * w - (x * x + y * y + z * z) + 1.0
-    w2 = w + w
-    x, y, z = w2 * x, w2 * y, w2 * z
+    s, x, y, z = square_plus_one(w, x, y, z)
     residual = math.hypot(s.real, x.real, y.real, z.real, s.imag, x.imag, y.imag, z.imag)
     return math.inf if math.isnan(residual) else residual
 

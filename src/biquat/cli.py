@@ -116,7 +116,10 @@ def parse_coefficients(text: str) -> list[float]:
                 raise ParseError(f'"{key}" must be a list of 4 numbers')
             for pos, entry in enumerate(part):
                 if not isinstance(entry, _Token):   # a string, true, false, null, list or object
-                    raise ParseError(f'"{key}"[{pos}]: {entry!r} is not a number')
+                    # spelled as JSON; a list or object may hold _Tokens, so it is named
+                    spelled = ({list: "a list", dict: "an object"}.get(type(entry))
+                               or json.dumps(entry))
+                    raise ParseError(f'"{key}"[{pos}]: {spelled} is not a number')
                 coeffs.append(_number(entry, f'"{key}"[{pos}]'))
         return coeffs
     return _parse_numbers(stripped, 8)

@@ -9,9 +9,9 @@ Every root falls into one of three families:
 * the imaginary units ``q = +I`` and ``q = -I``.
 
 This module constructs nontrivial roots, decomposes arbitrary
-biquaternions into the ``(a + b*mu) + (c + d*nu)*I`` form, evaluates the
-residuals of ``q^2 + 1`` split by component class, and classifies
-biquaternions against the families.
+biquaternions into the ``(a + b*mu) + (c + d*nu)*I`` form, reports the
+components of ``q^2 + 1`` by class, squared in the complex view, and
+classifies biquaternions against the families.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .algebra import (
     PureUnit,
     Quaternion,
     check_tolerance,
+    coefficients_of,
+    square_plus_one,
     square_residual,
 )
 
@@ -125,11 +127,11 @@ class Residuals:
     """Components of ``q^2 + 1`` grouped by class.
 
     real_scalar and real_vector are the plain-quaternion part, imag_scalar
-    and imag_vector the coefficient of I. ``aggregate`` is the Euclidean
-    norm of the eight coefficients of ``q^2 + 1``, squared in the complex
-    view (``algebra.square_residual``) and not through the decomposition;
-    it is the ground truth the closed forms are checked against and
-    vanishes exactly on the root manifold.
+    and imag_vector the coefficient of I: the real and imaginary parts of
+    the complex components of ``q^2 + 1`` (``algebra.square_plus_one``).
+    ``aggregate`` is the Euclidean norm of those eight coefficients, equal
+    to ``algebra.square_residual(q)`` bit for bit; it vanishes exactly on
+    the root manifold.
     """
 
     real_scalar: float
@@ -189,7 +191,7 @@ def decompose(q: Biquaternion | Sequence[float]) -> DecomposedForm:
     by flipping the direction, keeping the modulus nonnegative, so each
     biquaternion has exactly one decomposed form.
     """
-    wr, xr, yr, zr, wi, xi, yi, zi = q.coefficients() if isinstance(q, Biquaternion) else q
+    wr, xr, yr, zr, wi, xi, yi, zi = coefficients_of(q)
     b = math.hypot(xr, yr, zr)
     d = math.hypot(xi, yi, zi)
     mu = PureUnit.from_vector(xr, yr, zr) if b > 0.0 else None
@@ -198,10 +200,13 @@ def decompose(q: Biquaternion | Sequence[float]) -> DecomposedForm:
 
 
 def constraint_residuals(q: Biquaternion) -> Residuals:
-    """Evaluate the four components of ``q^2 + 1`` in decomposed variables.
+    """The four components of ``q^2 + 1`` by class, and their norm.
 
-    With q = (a + b*mu) + (c + d*nu)*I, expanding the square and grouping
-    by component class gives
+    They are the parts of the complex view's q^2 + 1 = (w^2 - v.v + 1) + 2wv
+    (``algebra.square_plus_one``): real_scalar and imag_scalar are those of
+    its scalar component, real_vector and imag_vector those of its vector
+    components. In the decomposed variables q = (a + b*mu) + (c + d*nu)*I,
+    with b*mu and d*nu the stored vector parts, they are the paper's
 
         real_scalar = a^2 - b^2 - c^2 + d^2 + 1
         real_vector = 2ab*mu - 2cd*nu
@@ -209,31 +214,15 @@ def constraint_residuals(q: Biquaternion) -> Residuals:
         imag_vector = 2ad*nu + 2bc*mu
 
     (mu*nu + nu*mu collapses to -2*dot(mu, nu) because the cross products
-    cancel). The ``aggregate`` field is computed independently, by
-    ``algebra.square_residual`` in the complex view, not from these closed
-    forms. A component that overflows a double, to inf or nan, is a
-    ``ValueError``.
+    cancel). A square that overflows a double, so that the norm
+    ``square_residual(q)`` is inf, is a ``ValueError``.
     """
-    coeffs = q.coefficients()
-    form = decompose(coeffs)
-    a, b, c, d = form.a, form.b, form.c, form.d
-    mu, nu = form.mu, form.nu
-
-    real_scalar = a * a - b * b - c * c + d * d + 1.0
-    abx, aby, abz = _scaled(2.0 * a * b, mu)
-    cdx, cdy, cdz = _scaled(2.0 * c * d, nu)
-    imag_scalar = 2.0 * a * c
-    if mu is not None and nu is not None:
-        imag_scalar -= 2.0 * b * d * mu.dot(nu)
-    adx, ady, adz = _scaled(2.0 * a * d, nu)
-    bcx, bcy, bcz = _scaled(2.0 * b * c, mu)
-    real_vector = (abx - cdx, aby - cdy, abz - cdz)
-    imag_vector = (adx + bcx, ady + bcy, adz + bcz)
-    if not all(map(math.isfinite, (real_scalar, imag_scalar, *real_vector, *imag_vector))):
+    s, x, y, z = square_plus_one(*q.complex_components())
+    aggregate = math.hypot(s.real, x.real, y.real, z.real, s.imag, x.imag, y.imag, z.imag)
+    if not math.isfinite(aggregate):
         raise ValueError("q^2 overflows a double")
-
-    return Residuals(real_scalar, Quaternion(0.0, *real_vector), imag_scalar,
-                     Quaternion(0.0, *imag_vector), square_residual(coeffs))
+    return Residuals(s.real, Quaternion(0.0, x.real, y.real, z.real),
+                     s.imag, Quaternion(0.0, x.imag, y.imag, z.imag), aggregate)
 
 
 def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassification:

@@ -122,7 +122,7 @@ def test_criterion_5_residual_identity():
         reference = biquat_mul(q, q) + 1.0
         worst = max(worst, _max_coeff_error(reassembled, reference))
     elapsed = time.perf_counter() - start
-    _report(5, f"closed-form residuals reassemble to q^2 + 1 on 10^4 random "
+    _report(5, f"residual components reassemble to q^2 + 1 on 10^4 random "
                f"biquaternions (worst coefficient error {worst:.2e})",
             worst <= 1e-9 and elapsed < 1.0, elapsed)
 

@@ -27,6 +27,7 @@ from biquat.algebra import (
     PureUnit,
     hamilton,
     mul_coefficients,
+    square_plus_one,
     square_residual,
 )
 from biquat.cli import format_coefficients, main, parse_coefficients
@@ -37,6 +38,7 @@ from biquat.roots import (
     TheoremViolationError,
     UnitPure,
     classify_coefficients,
+    constraint_residuals,
     decompose,
     make_nontrivial_root,
 )
@@ -111,6 +113,29 @@ def test_v_dot_v_on_unit_directions():
     _, remainder = sympy.reduced(sympy.expand(sum(u * u for u in v)), units, *mu, *nu)
     dot = sum(m * n for m, n in zip(mu, nu))
     assert sympy.expand(remainder - (b * b - d * d + 2 * sympy.I * b * d * dot)) == 0
+
+
+def test_constraint_residuals_closed_forms():
+    # the paper's closed forms of q^2 + 1 in constraint_residuals' docstring:
+    # with qr = a + b mu and qi = c + d nu for unit mu and nu, they are the
+    # parts of the complex view's components (algebra.square_plus_one)
+    # modulo |mu|^2 - 1 and |nu|^2 - 1
+    a, b, c, d = sympy.symbols("a b c d", real=True)
+    mu = sympy.symbols("mu_x mu_y mu_z", real=True)
+    nu = sympy.symbols("nu_x nu_y nu_z", real=True)
+    v = [b * m + sympy.I * d * n for m, n in zip(mu, nu)]
+    parts = square_plus_one(a + sympy.I * c, *v)
+    got = ([sympy.expand(p).as_real_imag()[0] for p in parts]
+           + [sympy.expand(p).as_real_imag()[1] for p in parts])
+    dot = sum(m * n for m, n in zip(mu, nu))
+    closed = ([a * a - b * b - c * c + d * d + 1]                        # real_scalar
+              + [2 * a * b * m - 2 * c * d * n for m, n in zip(mu, nu)]  # real_vector
+              + [2 * a * c - 2 * b * d * dot]                            # imag_scalar
+              + [2 * a * d * n + 2 * b * c * m for m, n in zip(mu, nu)])  # imag_vector
+    units = [sum(m * m for m in mu) - 1, sum(n * n for n in nu) - 1]
+    for part, form in zip(got, closed):
+        _, remainder = sympy.reduced(sympy.expand(part - form), units, *mu, *nu)
+        assert sympy.expand(remainder) == 0
 
 
 def test_residual_norm_identity():
@@ -228,6 +253,29 @@ def test_square_residual_agrees_with_the_hamilton_route(coeffs):
 def test_square_residual_is_inf_on_an_overflowing_square(rest, huge, index):
     coeffs = rest[:index] + (huge,) + rest[index:]
     assert square_residual(coeffs) == _hamilton_residual(coeffs) == math.inf
+
+
+@PROPERTY
+@given(EIGHT_FINITE)
+@example(EDGES)
+@example((1e154, 1e154, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))   # w^2 - v.v finite, 2wv not
+def test_constraint_residuals_are_the_parts_of_the_square(coeffs):
+    # an error exactly when square_residual is inf; otherwise the same
+    # aggregate bit for bit, and the parts reassemble to the Hamilton
+    # route's q*q + 1 within the residual's roundoff bound
+    q = Biquaternion.from_coefficients(*coeffs)
+    residual = square_residual(coeffs)
+    if residual == math.inf:
+        with pytest.raises(ValueError, match="^q\\^2 overflows a double$"):
+            constraint_residuals(q)
+        return
+    res = constraint_residuals(q)
+    assert res.aggregate.hex() == residual.hex()
+    norm = math.hypot(*coeffs)
+    bound = RESIDUAL_ROUNDOFF * (norm * norm + 1.0)
+    sq = mul_coefficients(coeffs, coeffs)
+    want = (sq[0] + 1.0,) + sq[1:]
+    assert all(abs(got - w) <= bound for got, w in zip(res.reassemble().coefficients(), want))
 
 
 def _unit(v):

@@ -84,8 +84,20 @@ def test_parse_errors_carry_position():
         parse_biquaternion("1 2 3 spam 5 6 7 8")
     with pytest.raises(ParseError, match="token 2.*not finite"):
         parse_biquaternion("1 inf 3 4 5 6 7 8")
-    with pytest.raises(ParseError, match='"qi"\\[1\\]'):
+    with pytest.raises(ParseError, match=re.escape('"qi"[1]: true is not a number')):
         parse_biquaternion('{"qr": [1, 2, 3, 4], "qi": [5, true, 7, 8]}')
+    # an entry that is not a number is spelled as JSON, not quoted like a token
+    with pytest.raises(ParseError, match=re.escape('"qr"[1]: "2" is not a number')):
+        parse_biquaternion('{"qr": [1, "2", 0, 0], "qi": [0, 0, 0, 0]}')
+    with pytest.raises(ParseError, match=re.escape('"qr"[0]: null is not a number')):
+        parse_biquaternion('{"qr": [null, 0, 0, 0], "qi": [0, 0, 0, 0]}')
+    # a list or an object is named by its type
+    with pytest.raises(ParseError, match=re.escape('"qi"[3]: a list is not a number')):
+        parse_biquaternion('{"qr": [0, 0, 0, 0], "qi": [0, 0, 0, [1, {"a": false}]]}')
+    with pytest.raises(ParseError, match=re.escape('"qi"[0]: a list is not a number')):
+        parse_biquaternion(f'{{"qr": [0, 0, 0, 0], "qi": [[{LONG_INT}], 0, 0, 0]}}')
+    with pytest.raises(ParseError, match=re.escape('"qr"[2]: an object is not a number')):
+        parse_biquaternion('{"qr": [0, 0, {"a": 1}, 0], "qi": [0, 0, 0, 0]}')
     with pytest.raises(ParseError, match="keys"):
         parse_biquaternion('{"qr": [1, 2, 3, 4]}')
     with pytest.raises(ParseError, match="4 numbers"):

@@ -181,25 +181,18 @@ def test_residuals_of_zero_divisor():
     assert res.aggregate == 1.0
 
 
-def _residuals_from_quaternions(q):
-    """constraint_residuals as six Quaternion builds, for the test below."""
-    form = decompose(q)
-    a, b, c, d, mu, nu = form.a, form.b, form.c, form.d, form.mu, form.nu
-
-    def scaled(factor, direction):
-        if direction is None or factor == 0.0:
-            return Quaternion(0.0, 0.0, 0.0, 0.0)
-        return Quaternion(0.0, factor * direction.x, factor * direction.y,
-                          factor * direction.z)
-
-    imag_scalar = 2.0 * a * c
-    if mu is not None and nu is not None:
-        imag_scalar -= 2.0 * b * d * mu.dot(nu)
-    return (a * a - b * b - c * c + d * d + 1.0,
-            scaled(2.0 * a * b, mu) - scaled(2.0 * c * d, nu),
-            imag_scalar,
-            scaled(2.0 * a * d, nu) + scaled(2.0 * b * c, mu),
-            roots.square_residual(q))
+def _residuals_from_complex_view(q):
+    """constraint_residuals written out in Python complex arithmetic, for
+    the test below: the parts of (w^2 - v.v + 1) + 2wv, then their norm."""
+    c = q.coefficients()
+    w, x, y, z = (complex(c[k], c[k + 4]) for k in range(4))
+    s = w * w - (x * x + y * y + z * z) + 1.0
+    vector = [(w + w) * u for u in (x, y, z)]
+    parts = [s.real, *(u.real for u in vector), s.imag, *(u.imag for u in vector)]
+    norm = math.hypot(*parts)
+    if not math.isfinite(norm):
+        raise ValueError("the square overflows")
+    return s.real, Quaternion(0.0, *parts[1:4]), s.imag, Quaternion(0.0, *parts[5:]), norm
 
 
 def _hex_fields(real_scalar, real_vector, imag_scalar, imag_vector, aggregate):
@@ -208,11 +201,11 @@ def _hex_fields(real_scalar, real_vector, imag_scalar, imag_vector, aggregate):
                               iv.w, iv.x, iv.y, iv.z, aggregate)]
 
 
-def test_constraint_residuals_bit_identical_to_quaternion_route():
+def test_constraint_residuals_bit_identical_to_complex_view_route():
     rng = np.random.default_rng(13)
     rows = [rng.uniform(-10, 10, 8).tolist() for _ in range(500)]
-    # every subset of a, b, c, d set to zero of either sign; b = d = 0
-    # leaves both directions None
+    # every subset of a, b, c, d set to zero of either sign, so that signed
+    # zeros reach every part of the square
     groups = ((0,), (1, 2, 3), (4,), (5, 6, 7))
     for zero in (0.0, -0.0):
         for chosen in itertools.product((False, True), repeat=4):
@@ -224,13 +217,23 @@ def test_constraint_residuals_bit_identical_to_quaternion_route():
         got = constraint_residuals(q)
         assert (_hex_fields(got.real_scalar, got.real_vector, got.imag_scalar,
                             got.imag_vector, got.aggregate)
-                == _hex_fields(*_residuals_from_quaternions(q)))
-    # a closed form that overflows is an error on both routes
+                == _hex_fields(*_residuals_from_complex_view(q)))
+        assert got.aggregate.hex() == roots.square_residual(q).hex()
+    # a square that overflows is an error on both routes
     q = Biquaternion.from_coefficients(1e200, 1e200, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="q\\^2 overflows a double"):
         constraint_residuals(q)
-    with pytest.raises(ValueError, match="must be finite"):
-        _residuals_from_quaternions(q)
+    with pytest.raises(ValueError, match="the square overflows"):
+        _residuals_from_complex_view(q)
+
+
+@pytest.mark.parametrize("count", [3, 7, 9])
+def test_coefficient_sequences_must_hold_eight(count):
+    # nine values once classified as NotRoot, dropping the ninth
+    coeffs = (3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0)[:count]
+    for entry in (roots.square_residual, decompose, roots.classify_coefficients):
+        with pytest.raises(ValueError, match=f"^expected 8 coefficients, got {count}$"):
+            entry(coeffs)
 
 
 @pytest.mark.parametrize("coeffs", [
