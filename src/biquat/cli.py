@@ -8,7 +8,9 @@ significant digits by default so that output re-parses losslessly.
 
 Exit codes: 0 success (or: is a root / hits found); 1 not-a-root or an
 empty census; 2 usage error; 3 an internal theorem-violation finding;
-141 (128 + SIGPIPE) stdout was closed early, as ``| head`` does.
+141 (128 + SIGPIPE) stdout was closed early, as ``| head`` does. classify
+writes a malformed line's parse-error record in its place and goes on; it
+exits with the largest code of its lines, a malformed line counting 2.
 
 numpy (through ``oracle``) is imported only by sample and lattice.
 """
@@ -16,6 +18,7 @@ numpy (through ``oracle``) is imported only by sample and lattice.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -82,7 +85,7 @@ def _parse_numbers(text: str, count: int, name: str = "") -> list[float]:
         message = f"expected {count} numbers, got {len(tokens)}"
         raise ParseError(f"{name}: {message}" if name else message)
     try:
-        values = [float(tok) for tok in tokens]
+        values = list(map(float, tokens))
         # a non-finite entry makes the sum non-finite; "_" or non-ASCII text goes below
         if text.isascii() and "_" not in text and math.isfinite(sum(values)):
             return values
@@ -174,11 +177,14 @@ def _cmd_square(args) -> int:
 _FAMILY_NAMES = {Nontrivial: "nontrivial", UnitPure: "unit-pure",
                  ImaginaryUnit: "imaginary-unit", NotRoot: "not-a-root",
                  TheoremViolationError: "theorem-violation"}
+_PARSE_ERROR = "parse-error"   # the record of a malformed classify line
 
 
-def _classification_record(result, residual: float) -> dict:
+def _classification_record(result, residual: float | None) -> dict:
     """The JSON record of a verdict: its name, its fields, the residual, and
-    for a theorem violation its failures."""
+    for a theorem violation its failures; a ParseError's is its message."""
+    if type(result) is ParseError:
+        return {"family": _PARSE_ERROR, "error": str(result)}
     record = {"family": _FAMILY_NAMES[type(result)]}
     if isinstance(result, Nontrivial):
         record.update(mu=[result.mu.x, result.mu.y, result.mu.z],
@@ -206,7 +212,7 @@ def _classification_templates(digits: int) -> dict:
     return templates
 
 
-def _classification_line(templates: dict, result, residual: float) -> str:
+def _classification_line(templates: dict, result, residual: float | None) -> str:
     kind = type(result)
     if kind is Nontrivial:
         mu, nu = result.mu, result.nu
@@ -218,14 +224,23 @@ def _classification_line(templates: dict, result, residual: float) -> str:
         values = (result.sign, residual)
     elif kind is TheoremViolationError:
         values = (residual, "; ".join(result.failures))
+    elif kind is ParseError:
+        return f"{_PARSE_ERROR} ({result})"
     else:
         values = (residual,)
     return templates[kind] % values
 
 
+def _classification_formatter(args):
+    """The run's output line for a verdict and its residual: JSON or text."""
+    if args.json:
+        return lambda result, residual: json.dumps(_classification_record(result, residual))
+    return functools.partial(_classification_line, _classification_templates(args.digits))
+
+
 def _cmd_classify(args) -> int:
     check_tolerance("tol", args.tol)   # also when there are no input lines
-    templates = _classification_templates(args.digits)
+    line = _classification_formatter(args)
     write = sys.stdout.write
     code = EXIT_OK
     for text in _inputs(args):
@@ -234,10 +249,10 @@ def _cmd_classify(args) -> int:
         except TheoremViolationError as exc:   # a verdict too, written like the others
             result, residual = exc, exc.residual
             code = EXIT_VIOLATION
-        if args.json:
-            write(json.dumps(_classification_record(result, residual)) + "\n")
-        else:
-            write(_classification_line(templates, result, residual) + "\n")
+        except ParseError as exc:   # a record in the line's place; the run goes on
+            result, residual = exc, None
+            code = max(code, EXIT_USAGE)
+        write(line(result, residual) + "\n")
         if type(result) is NotRoot:
             code = max(code, EXIT_NEGATIVE)
     return code

@@ -8,10 +8,11 @@ Every root falls into one of three families:
 * the unit pure quaternions ``q = mu``;
 * the imaginary units ``q = +I`` and ``q = -I``.
 
-This module constructs nontrivial roots, decomposes arbitrary
-biquaternions into the ``(a + b*mu) + (c + d*nu)*I`` form, reports the
-components of ``q^2 + 1`` by class, squared in the complex view, and
-classifies biquaternions against the families.
+This module constructs nontrivial roots, reports the components of
+``q^2 + 1`` by class, squared in the complex view, and classifies
+biquaternions against the families. The classifier decides the family from
+b, d and c read straight off the stored coefficients; ``decompose`` gives
+callers the paper's ``(a + b*mu) + (c + d*nu)*I`` form of any biquaternion.
 """
 
 from __future__ import annotations
@@ -230,7 +231,9 @@ def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassificati
 
     The aggregate residual of q^2 + 1 is tested first and is the ground
     truth: above ``tol`` the outcome is NotRoot. Otherwise the family is
-    read off the decomposition:
+    decided from the moduli b = |x_r, y_r, z_r| and d = |x_i, y_i, z_i| and
+    the scalar c = w_i of the stored coefficients, without building the
+    decomposed form (``decompose`` is the paper's form for callers):
 
     * b and d both below tol: imaginary unit, sign taken from c;
     * d below tol and |c| below tol: unit pure root q = mu;
@@ -265,37 +268,46 @@ def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassificati
     return classify_coefficients(q.coefficients(), tol)[0]
 
 
-def classify_coefficients(c: Sequence[float],
+def classify_coefficients(q: Biquaternion | Sequence[float],
                           tol: float = DEFAULT_TOL) -> tuple[RootClassification, float]:
-    """``classify_root`` on 8 coefficients in canonical order, with its residual.
+    """``classify_root`` on a Biquaternion or its 8 coefficients in canonical
+    order, with its residual.
 
-    Returns ``(classification, square_residual(c))``, each computed once;
-    a Biquaternion is built only to report a TheoremViolationError.
+    Returns ``(classification, square_residual(q))``, each computed once, in
+    one pass over the coefficients: the family is decided from the moduli
+    b = |x_r, y_r, z_r|, d = |x_i, y_i, z_i| and the scalar c = w_i, and
+    the directions are normalized only where a family reports them. No
+    ``DecomposedForm`` is built; a Biquaternion is built only to report a
+    TheoremViolationError.
     """
     check_tolerance("tol", tol)
+    c = coefficients_of(q)
     residual = square_residual(c)
     if residual > tol:
         return NotRoot(residual), residual
 
-    form = decompose(c)
-    if form.b <= tol and form.d <= tol:
-        return ImaginaryUnit(1 if form.c >= 0.0 else -1), residual
-    if form.d <= tol and abs(form.c) <= tol:
-        return UnitPure(form.mu), residual
+    wr, xr, yr, zr, wi, xi, yi, zi = c
+    b = math.hypot(xr, yr, zr)
+    d = math.hypot(xi, yi, zi)
+    if b <= tol and d <= tol:
+        return ImaginaryUnit(1 if wi >= 0.0 else -1), residual
+    if d <= tol and abs(wi) <= tol:
+        return UnitPure(PureUnit.from_vector(xr, yr, zr)), residual
 
     # the two checks of the complex view, each allowed the residual's roundoff
-    x, y, z = complex(c[1], c[5]), complex(c[2], c[6]), complex(c[3], c[7])
-    w, vv = abs(complex(c[0], c[4])), abs(x * x + y * y + z * z - 1.0)
+    x, y, z = complex(xr, xi), complex(yr, yi), complex(zr, zi)
+    w, vv = abs(complex(wr, wi)), abs(x * x + y * y + z * z - 1.0)
     norm = math.hypot(*c)
     bound = tol + RESIDUAL_ROUNDOFF * (norm * norm + 1.0)
     if w > bound or vv > bound:
         failures = [f"{name} = {value!r} > tol"
                     for name, value in (("|w|", w), ("|v.v - 1|", vv)) if value > bound]
         raise TheoremViolationError(Biquaternion.from_coefficients(*c), residual, failures)
+    # as in decompose, a zero modulus has no direction (the residual test rules it out here)
+    mu = PureUnit.from_vector(xr, yr, zr) if b > 0.0 else None
+    nu = PureUnit.from_vector(xi, yi, zi) if d > 0.0 else None
     # keep the reported nu perpendicular to mu
-    mu, nu = form.mu, form.nu
     dot = mu.dot(nu)
     if abs(dot) > tol:
         nu = PureUnit.from_vector(nu.x - dot * mu.x, nu.y - dot * mu.y, nu.z - dot * mu.z)
-    return Nontrivial(mu, nu, math.asinh(form.d)), residual
-
+    return Nontrivial(mu, nu, math.asinh(d)), residual

@@ -32,8 +32,11 @@ from biquat.algebra import (
 )
 from biquat.cli import format_coefficients, main, parse_coefficients
 from biquat.oracle import LatticeSpec, lattice_search
+from biquat import roots
 from biquat.roots import (
+    ImaginaryUnit,
     Nontrivial,
+    NotRoot,
     RootClassification,
     TheoremViolationError,
     UnitPure,
@@ -333,6 +336,71 @@ def test_lattice_search_is_the_brute_force_census(directions, half, step, tol):
     report = lattice_search(spec, tol)
     assert report.hits == _brute_force_hits(spec, tol)
     assert report.violations == ()
+
+
+def _decomposed_classify(c, tol=DEFAULT_TOL):
+    """The classifier's earlier route, kept as a reference: the family read
+    off ``decompose``, then the same checks on the coefficients."""
+    residual = roots.square_residual(c)
+    if residual > tol:
+        return NotRoot(residual), residual
+    form = decompose(c)
+    if form.b <= tol and form.d <= tol:
+        return ImaginaryUnit(1 if form.c >= 0.0 else -1), residual
+    if form.d <= tol and abs(form.c) <= tol:
+        return UnitPure(form.mu), residual
+    x, y, z = complex(c[1], c[5]), complex(c[2], c[6]), complex(c[3], c[7])
+    w, vv = abs(complex(c[0], c[4])), abs(x * x + y * y + z * z - 1.0)
+    norm = math.hypot(*c)
+    bound = tol + RESIDUAL_ROUNDOFF * (norm * norm + 1.0)
+    if w > bound or vv > bound:
+        failures = [f"{name} = {value!r} > tol"
+                    for name, value in (("|w|", w), ("|v.v - 1|", vv)) if value > bound]
+        raise TheoremViolationError(Biquaternion.from_coefficients(*c), residual, failures)
+    mu, nu = form.mu, form.nu
+    dot = mu.dot(nu)
+    if abs(dot) > tol:
+        nu = PureUnit.from_vector(nu.x - dot * mu.x, nu.y - dot * mu.y, nu.z - dot * mu.z)
+    return Nontrivial(mu, nu, math.asinh(form.d)), residual
+
+
+def _outcome(classify, c):
+    # a verdict with its fields and residual bit for bit, or what was raised
+    try:
+        result, residual = classify(c)
+    except TheoremViolationError as exc:
+        return "violation", exc.failures, exc.residual.hex()
+    except Exception as exc:   # only a faked residual gets here
+        return type(exc), str(exc)
+    return result, repr(result), residual.hex()
+
+
+ROOTS = (st.builds(lambda pair, t: make_nontrivial_root(*pair, t).coefficients(),
+                   perpendicular_pairs(), st.floats(0.0, 5.0, exclude_min=True))
+         | st.builds(lambda mu: (0.0, mu.x, mu.y, mu.z, 0.0, 0.0, 0.0, 0.0), UNIT)
+         | st.sampled_from([(0.0,) * 4 + (sign,) + (0.0,) * 3 for sign in (1.0, -1.0)]))
+# noise about 1e-10 off the root, or subnormal vector parts
+NOISE = (st.tuples(*[st.floats(-1e-10, 1e-10)] * 8)
+         | st.tuples(*[st.floats(-sys.float_info.min, sys.float_info.min)] * 8))
+NEAR_ROOTS = st.builds(lambda c, e: tuple(u + v for u, v in zip(c, e)), ROOTS, NOISE)
+
+
+@PROPERTY
+@given(EIGHT_FINITE | NEAR_ROOTS)
+@example(EDGES)
+@example((0.0, 5e-324, 5e-324, 0.0, 1.0, 0.0, 0.0, 0.0))   # I plus a subnormal v
+@example((0.0, 1.0, 0.0, 0.0, 0.0, 5e-324, 5e-324, 0.0))   # i plus a subnormal vI
+@example((0.0, math.sqrt(1.0 + 1e-8), 0.0, 0.0, 0.0, 1.5e-13, 1e-4, 0.0))   # |dot| ~ 1.5 tol
+@example((0.0, 1.0, 0.0, 0.0, 1e-9, 0.0, 0.0, 0.0))   # c at tol
+@example((0.0, 1e-9, 0.0, 0.0, 1.0, 1e-9, 0.0, 0.0))   # b and d at tol
+def test_one_pass_classifier_is_the_decomposed_route(coeffs):
+    # same verdict, fields and residual bit for bit; and with the residual
+    # faked to 0, so that the family checks run on any input, the same
+    # failures or the same error
+    assert _outcome(classify_coefficients, coeffs) == _outcome(_decomposed_classify, coeffs)
+    with mock.patch.object(roots, "square_residual", lambda c: 0.0):
+        assert (_outcome(classify_coefficients, coeffs)
+                == _outcome(_decomposed_classify, coeffs))
 
 
 # roots as the CLI reads them: make_nontrivial_root at t = 0 is exactly the unit pure mu

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biquat import oracle, roots
+from biquat import cli, oracle, roots
 from biquat.algebra import (
     Biquaternion,
     PureUnit,
@@ -159,7 +159,7 @@ def test_classify_not_a_root_exits_one(capsys):
     assert main(["classify", "1e200 0 0 0 0 0 0 0"]) == 1
     assert capsys.readouterr().out == "not-a-root residual=inf\n"
     assert main(["classify", "1e200 0 0 0 0 0 0 inf"]) == 2
-    assert "not finite" in capsys.readouterr().err
+    assert capsys.readouterr().out == "parse-error (token 8: 'inf' is not finite)\n"
 
 
 @pytest.mark.parametrize("command", ["classify", "square", "table"])
@@ -167,8 +167,12 @@ def test_huge_json_integer_is_a_usage_error(capsys, command):
     for text in (HUGE_INT_JSON, LONG_INT_JSON):
         assert main([command, text]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert 'error: "qr"[0]: \'1000' in captured.err and "is not finite" in captured.err
+        # classify writes the message as the line's record, the others to stderr
+        message, other = ((captured.out, captured.err) if command == "classify"
+                          else (captured.err, captured.out))
+        prefix = "parse-error (" if command == "classify" else "error: "
+        assert other == ""
+        assert message.startswith(prefix + '"qr"[0]: \'1000') and "is not finite" in message
 
 
 def test_classify_json(capsys):
@@ -479,7 +483,7 @@ def test_newton_landing_point_near_the_edge_is_nontrivial(capsys):
 
 def test_usage_errors_exit_two(monkeypatch, capsys):
     assert main(["classify", "1 2 3"]) == 2
-    assert "expected 8 numbers" in capsys.readouterr().err
+    assert capsys.readouterr() == ("parse-error (expected 8 numbers, got 3)\n", "")
     lattice = ["lattice", "--mu", "1 0 0", "--nu", "0 1 0"]
     for argv in (["classify", "--tol", "inf", "1 2 3 0 0 0 0 0"],
                  ["classify", "--tol", "nan", "1 0 0 0 0 0 0 0"],
@@ -657,17 +661,53 @@ def test_stream_output_matches_library(monkeypatch, capsys, digits, as_json):
     assert out.splitlines() == [_expected_square(q, digits, as_json) for q in qs[:-1]]
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_violation_outranks_a_bad_line(monkeypatch, capsys, as_json):
+    # the exit code is the largest over the lines: 3 for a theorem violation
+    # over 2 for a malformed line, whichever comes first
+    _fake_zero_residual(monkeypatch, VIOLATION)
+    flags = ["--json"] if as_json else []
+    for lines in ([VIOLATION, "1 2 3"], ["1 2 3", VIOLATION], ["1 2 3", "1 0 0 0 0 0 0 0"]):
+        code, out, err = _run(monkeypatch, capsys, ["classify", *flags], lines)
+        assert (code, err) == (3 if VIOLATION in lines else 2, "")
+        assert len(out.splitlines()) == 2
+
+
+def test_only_a_parse_error_is_a_record(monkeypatch, capsys):
+    # any other error still ends the run after the lines before it
+    real = cli.classify_coefficients
+
+    def classify(c, tol):
+        if c[0] == 7.0:
+            raise ValueError("not a parse error")
+        return real(c, tol)
+
+    monkeypatch.setattr(cli, "classify_coefficients", classify)
+    code, out, err = _run(monkeypatch, capsys, ["classify"],
+                          [SQRT2_ROOT, "7 0 0 0 0 0 0 0", SQRT2_ROOT])
+    assert (code, err) == (2, "error: not a parse error\n")
+    assert out == _expected_classify(parse_biquaternion(SQRT2_ROOT), 17, False) + "\n"
+
+
 def test_lines_before_a_bad_line_are_printed(monkeypatch, capsys):
+    # classify writes a parse-error record in a malformed line's place,
+    # classifies the lines after it, and exits 2 over a not-a-root's 1
     pairs = _seeded_stream()[:40]
     texts = [text for text, _ in pairs]
-    for bad, where in ((25, "1 2 3"), (10, "1 2 spam 4 5 6 7 8"), (0, "1 nan 3 4 5 6 7 8")):
-        lines = texts[:bad] + [where] + texts[bad:]
-        code, out, err = _run(monkeypatch, capsys, ["classify"], lines)
-        assert code == 2
-        assert out.splitlines() == [_expected_classify(q, 17, False) for _, q in pairs[:bad]]
-        assert err.startswith("error: ") and err.count("\n") == 1
+    for as_json in (False, True):
+        flags = ["--json"] if as_json else []
+        expected = [_expected_classify(q, 17, as_json) for _, q in pairs]
+        for bad, where, message in ((25, "1 2 3", "expected 8 numbers, got 3"),
+                                    (10, "1 2 spam 4 5 6 7 8", "token 3: 'spam' is not a number"),
+                                    (0, "1 nan 3 4 5 6 7 8", "token 2: 'nan' is not finite")):
+            lines = texts[:bad] + [where] + texts[bad:]
+            code, out, err = _run(monkeypatch, capsys, ["classify", *flags], lines)
+            assert (code, err) == (2, "")
+            record = (json.dumps({"family": "parse-error", "error": message}) if as_json
+                      else f"parse-error ({message})")
+            assert out.splitlines() == expected[:bad] + [record] + expected[bad:]
 
-    # a finite line whose square overflows stops `square` the same way
+    # `square` stops at a finite line whose square overflows, after the lines before it
     code, out, err = _run(monkeypatch, capsys, ["square"], texts[:30] + [OVERFLOW_LINE] + texts)
     assert code == 2
     assert out.splitlines() == [_expected_square(q, 17, False) for _, q in pairs[:30]]
@@ -676,12 +716,16 @@ def test_lines_before_a_bad_line_are_printed(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["classify", "square", "convert", "table"])
 def test_deeply_nested_json_is_a_usage_error(monkeypatch, capsys, command):
-    # the lines before it are written, then exit 2, not a traceback and exit 1
+    # the lines before it are written, then exit 2, not a traceback and exit 1;
+    # classify writes its parse-error record in the line's place
     code, out, err = _run(monkeypatch, capsys, [command], [SQRT2_ROOT, NESTED_JSON])
     assert code == 2
     if command == "classify":
-        assert out == _expected_classify(parse_biquaternion(SQRT2_ROOT), 17, False) + "\n"
-    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+        first, second = out.splitlines()
+        assert first == _expected_classify(parse_biquaternion(SQRT2_ROOT), 17, False)
+        assert second.startswith("parse-error (invalid JSON: ") and err == ""
+    else:
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 def _stream_text(lines):

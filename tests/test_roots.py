@@ -9,6 +9,7 @@ from biquat import roots
 from biquat.cli import main as cli_main
 from biquat.oracle import sample_perpendicular, sample_root, sample_unit_pure
 from biquat.roots import (
+    DecomposedForm,
     ImaginaryUnit,
     Nontrivial,
     NotRoot,
@@ -285,13 +286,33 @@ def test_classify_not_root_example():
     assert result == NotRoot(math.inf)
 
 
-def test_classify_decomposes_only_roots_and_only_once(monkeypatch):
+def test_classify_never_decomposes(monkeypatch):
+    # the family is read off b, d and c in one pass: no decompose, no DecomposedForm
     calls = []
     monkeypatch.setattr(roots, "decompose", lambda q: calls.append(q) or decompose(q))
-    classify_root(Biquaternion.from_coefficients(1, 1, 0, 0, 0, 0, 0, 0))
+    monkeypatch.setattr(roots, "DecomposedForm",
+                        lambda *fields: calls.append(fields) or DecomposedForm(*fields))
+    for q in (Biquaternion.from_coefficients(1, 1, 0, 0, 0, 0, 0, 0),
+              make_nontrivial_root(MU_I, NU_J, 1.0),
+              Biquaternion.from_coefficients(0, 0, 0, 1, 0, 0, 0, 0),
+              Biquaternion.from_coefficients(0, 0, 0, 0, -1, 0, 0, 0)):
+        classify_root(q)
+        roots.classify_coefficients(q.coefficients())
     assert calls == []
-    classify_root(make_nontrivial_root(MU_I, NU_J, 1.0))
-    assert len(calls) == 1
+
+
+def test_classify_coefficients_takes_a_biquaternion():
+    # as square_residual and decompose do: every branch, not only NotRoot
+    qs = [Biquaternion.from_coefficients(1, 1, 0, 0, 0, 0, 0, 0),
+          make_nontrivial_root(MU_I, NU_J, 1.0),
+          Biquaternion.from_coefficients(0, 0, 1, 0, 0, 0, 0, 0),
+          Biquaternion.from_coefficients(0, 0, 0, 0, -1, 0, 0, 0)]
+    results = [roots.classify_coefficients(q) for q in qs]
+    assert results == [roots.classify_coefficients(q.coefficients()) for q in qs]
+    assert [type(result) for result, _ in results] == [NotRoot, Nontrivial, UnitPure,
+                                                        ImaginaryUnit]
+    with pytest.raises(ValueError, match="^expected 8 coefficients, got 7$"):
+        roots.classify_coefficients(qs[1].coefficients()[:7])
 
 
 def test_classify_coefficients_returns_verdict_and_residual():
