@@ -74,8 +74,19 @@ class _Token(str):
     """The source text of a JSON number, ``NaN`` and ``Infinity`` included."""
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; json alone would keep a repeated key's last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"invalid JSON: repeated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 # built once: json.loads with hooks builds a new decoder on every call
-_JSON_DECODER = json.JSONDecoder(parse_float=_Token, parse_int=_Token, parse_constant=_Token)
+_JSON_DECODER = json.JSONDecoder(parse_float=_Token, parse_int=_Token, parse_constant=_Token,
+                                 object_pairs_hook=_unique_keys)
 
 
 def _parse_numbers(text: str, count: int, name: str = "") -> list[float]:
@@ -518,7 +529,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

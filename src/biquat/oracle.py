@@ -263,11 +263,10 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     exact ones by up to ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. So every point
     within a roundoff margin of ``tol`` is re-checked by
     ``classify_coefficients``, whose residual alone decides a hit. Each
-    candidate's eight images go into one array of flat indices
-    (a*n + b)*n^2 + c*n + d, sorted and deduplicated once, so hits come in
-    lattice index order (a, then b, c, d); the working set is one block of
-    k*(n*n + 1)/2 doubles, k = n//2 + 1 (about 2 MB at the point cap),
-    plus the candidate indices.
+    candidate's eight images go into one set of (a, b, c, d) axis-index
+    tuples, sorted once, so hits come in lattice index order (a, then b, c,
+    d); the working set is one block of k*(n*n + 1)/2 doubles,
+    k = n//2 + 1 (about 2 MB at the point cap), plus the candidate tuples.
     """
     check_tolerance("tol", tol)
     total_points = spec.point_count()
@@ -290,33 +289,27 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     mu, nu = spec.mu, spec.nu
     values = spec.axis().tolist()
     n = len(values)
-    plane = n * n
+    last = n - 1
     hits: list[LatticeHit] = []
     violations: list[str] = []
 
-    candidates = []
+    points: set[tuple[int, int, int, int]] = set()
     with np.errstate(over="ignore", invalid="ignore"):
         rows, half = _scan_features(spec)
         k, width = len(rows), half.shape[1]
         res2 = np.empty((k, width))
         for a in range(k):
             np.matmul(rows[a], half, out=res2)
-            candidates.append(np.flatnonzero(res2 <= cut2) + a * k * width)
-    # In axis indices, a candidate (a, b, c*n + d) lies in flat row a*n + b
-    # and column c*n + d, its conjugate (b, d) -> (-b, -d) in row
-    # a*n + n-1-b and column c*n + n-1-d, and negating qr or qi reverses a
-    # flat row or column, r -> n*n - 1 - r.
-    ab, cd = np.divmod(np.concatenate(candidates), width)
-    ia, ib = np.divmod(ab, k)
-    id_ = cd % n
-    image_rows = np.stack((ia * n + ib, ia * n + n - 1 - ib))
-    image_cols = np.stack((cd, cd - id_ + n - 1 - id_))
-    images = [r * plane + c for r in (image_rows, plane - 1 - image_rows)
-              for c in (image_cols, plane - 1 - image_cols)]
-    # sorted(set()), not np.unique, which imports numpy.ma on first use
-    for idx in sorted(set(np.concatenate(images, axis=None).tolist())):
-        row, col = divmod(idx, plane)
-        a, b, c, d = values[row // n], values[row % n], values[col // n], values[col % n]
+            for idx in np.flatnonzero(res2 <= cut2).tolist():
+                b, cd = divmod(idx, width)
+                c, d = divmod(cd, n)
+                # its images under (a, b) -> (-a, -b), (c, d) -> (-c, -d) and
+                # (b, d) -> (-b, -d); axis index last - i is the negation of i
+                for ra, rb in ((a, b), (last - a, last - b)):
+                    for rc, rd in ((c, d), (last - c, last - d)):
+                        points.update(((ra, rb, rc, rd), (ra, last - rb, rc, last - rd)))
+    for ia, ib, ic, id_ in sorted(points):
+        a, b, c, d = values[ia], values[ib], values[ic], values[id_]
         coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
         try:
             classification, residual = classify_coefficients(coeffs, tol)

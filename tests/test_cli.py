@@ -100,6 +100,9 @@ def test_parse_errors_carry_position():
         parse_biquaternion('{"qr": [0, 0, {"a": 1}, 0], "qi": [0, 0, 0, 0]}')
     with pytest.raises(ParseError, match="keys"):
         parse_biquaternion('{"qr": [1, 2, 3, 4]}')
+    # json alone keeps a repeated key's last value; the form has each key once
+    with pytest.raises(ParseError, match=re.escape('invalid JSON: repeated key "qr"')):
+        parse_biquaternion('{"qr": [1, 2, 3, 4], "qi": [1, 2, 3, 4], "qr": [1, 1, 1, 1]}')
     with pytest.raises(ParseError, match="4 numbers"):
         parse_biquaternion('{"qr": [1, 2], "qi": [5, 6, 7, 8]}')
     with pytest.raises(ParseError, match="JSON"):

@@ -254,14 +254,18 @@ def test_lattice_search_matches_brute_force():
     # then the mirrored scan's edges: a 3-point axis, whose hits
     # (0, +/-1, 0, 0) lie on the a = 0 row and the centre column c = d = 0,
     # both their own mirrors; the same axis at tol 4, with hits at a > 0
-    # and in the centre column there; and a 17^4 skew pair at tol 0.5
+    # and in the centre column there; a 17^4 skew pair at tol 0.5; and a
+    # 17^4 perpendicular pair at tol 4, where 7 of the 9 scanned blocks
+    # hold candidates, about 3000 in all, so every image branch runs on a
+    # real-size grid
     cases = ((LatticeSpec(1.0, 0.25, mu, perpendicular), 1e-9, 4),
              (LatticeSpec(1.0, 0.25, mu, skew), 1e-9, 4),
              (LatticeSpec(1e200, 1e200, MU_I, NU_J), 1e-9, 0),
              (LatticeSpec(1e100, 1e100, MU_I, NU_J), 1e-9, 0),
              (LatticeSpec(1.0, 1.0, MU_I, NU_J), 1e-9, 4),
              (LatticeSpec(1.0, 1.0, mu, skew), 4.0, 65),
-             (LatticeSpec(2.0, 0.25, mu, skew), 0.5, 12))
+             (LatticeSpec(2.0, 0.25, mu, skew), 0.5, 12),
+             (LatticeSpec(2.0, 0.25, mu, perpendicular), 4.0, 19205))
     for spec, tol, hit_count in cases:
         report = lattice_search(spec, tol)
         assert report.hits == _brute_force_hits(spec, tol)
