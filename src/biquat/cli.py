@@ -121,7 +121,7 @@ def parse_coefficients(text: str) -> list[float]:
             obj = _JSON_DECODER.decode(stripped)
         except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
             raise ParseError(f"invalid JSON: {exc}") from None
-        if not isinstance(obj, dict) or set(obj) != {"qr", "qi"}:
+        if set(obj) != {"qr", "qi"}:
             raise ParseError('structured form requires exactly the keys "qr" and "qi"')
         coeffs = []
         for key in ("qr", "qi"):

@@ -10,8 +10,11 @@ Every root falls into one of three families:
 
 This module constructs nontrivial roots, reports the components of
 ``q^2 + 1`` by class, squared in the complex view, and classifies
-biquaternions against the families. The classifier decides the family from
-b, d and c read straight off the stored coefficients; ``decompose`` gives
+biquaternions against the families. The classifier follows the theorem's
+case split of q = w + v: v = 0 gives +-I, and otherwise w = 0 and
+v.v = 1 are checked, after which d alone tells the unit pure root (d = 0,
+the t = 0 slice of the nontrivial family) from the nontrivial one. It
+reads b, d and c straight off the stored coefficients; ``decompose`` gives
 callers the paper's ``(a + b*mu) + (c + d*nu)*I`` form of any biquaternion.
 """
 
@@ -231,21 +234,24 @@ def classify_root(q: Biquaternion, tol: float = DEFAULT_TOL) -> RootClassificati
 
     The aggregate residual of q^2 + 1 is tested first and is the ground
     truth: above ``tol`` the outcome is NotRoot. Otherwise the family is
-    decided from the moduli b = |x_r, y_r, z_r| and d = |x_i, y_i, z_i| and
-    the scalar c = w_i of the stored coefficients, without building the
-    decomposed form (``decompose`` is the paper's form for callers):
+    decided by the theorem's case split in the complex view q = w + v, with
+    w = a + c*I and v = b*mu + d*nu*I, reading the moduli
+    b = |x_r, y_r, z_r| and d = |x_i, y_i, z_i| and the scalar c = w_i off
+    the stored coefficients, without building the decomposed form
+    (``decompose`` is the paper's form for callers):
 
-    * b and d both below tol: imaginary unit, sign taken from c;
-    * d below tol and |c| below tol: unit pure root q = mu;
-    * otherwise nontrivial with t = asinh(d).
+    * v = 0, that is b and d both below tol: imaginary unit, sign taken
+      from c;
+    * otherwise w = 0 and v.v = 1, checked, and then d alone splits the
+      branch: d below tol is the unit pure root q = mu, and d above it the
+      nontrivial root with t = asinh(d).
 
-    In the nontrivial case the family structure is asserted in the complex
-    view q = w + v, with w = a + c*I and v = b*mu + d*nu*I. There q is a
-    root iff w = 0 and v.v = (b^2 - d^2) + 2*b*d*dot(mu, nu)*I = 1, which
-    is a = c = 0, b^2 - d^2 = 1 and mu perpendicular to nu at once; so two
-    checks, |w| <= tol and |v.v - 1| <= tol, are made. A failed check while
-    the residual passes raises TheoremViolationError rather than degrading
-    to NotRoot.
+    In the second branch q is a root iff w = 0 and
+    v.v = (b^2 - d^2) + 2*b*d*dot(mu, nu)*I = 1, which is a = c = 0,
+    b^2 - d^2 = 1 and mu perpendicular to nu at once; so two checks,
+    |w| <= tol and |v.v - 1| <= tol, are made before either family is
+    named. A failed check while the residual passes raises
+    TheoremViolationError rather than degrading to NotRoot.
 
     In exact arithmetic no check can fail once the residual passes, at any
     tol. With |v|^2 = b^2 + d^2, the residual satisfies
@@ -274,25 +280,25 @@ def classify_coefficients(q: Biquaternion | Sequence[float],
     order, with its residual.
 
     Returns ``(classification, square_residual(q))``, each computed once, in
-    one pass over the coefficients: the family is decided from the moduli
-    b = |x_r, y_r, z_r|, d = |x_i, y_i, z_i| and the scalar c = w_i, and
-    the directions are normalized only where a family reports them. No
-    ``DecomposedForm`` is built; a Biquaternion is built only to report a
-    TheoremViolationError.
+    one pass over the coefficients: NotRoot above tol; the imaginary unit
+    when the moduli b = |x_r, y_r, z_r| and d = |x_i, y_i, z_i| are both
+    below tol, its sign read off the scalar c = w_i; otherwise the two
+    checks, then the unit pure root at d below tol and the nontrivial one
+    above it. The directions are normalized only where a family reports
+    them. No ``DecomposedForm`` is built; a Biquaternion is built only to
+    report a TheoremViolationError.
     """
     check_tolerance("tol", tol)
-    c = coefficients_of(q)
-    residual = square_residual(c)
+    residual = square_residual(q)
     if residual > tol:
         return NotRoot(residual), residual
 
+    c = coefficients_of(q)
     wr, xr, yr, zr, wi, xi, yi, zi = c
     b = math.hypot(xr, yr, zr)
     d = math.hypot(xi, yi, zi)
     if b <= tol and d <= tol:
         return ImaginaryUnit(1 if wi >= 0.0 else -1), residual
-    if d <= tol and abs(wi) <= tol:
-        return UnitPure(PureUnit.from_vector(xr, yr, zr)), residual
 
     # the two checks of the complex view, each allowed the residual's roundoff
     x, y, z = complex(xr, xi), complex(yr, yi), complex(zr, zi)
@@ -303,9 +309,10 @@ def classify_coefficients(q: Biquaternion | Sequence[float],
         failures = [f"{name} = {value!r} > tol"
                     for name, value in (("|w|", w), ("|v.v - 1|", vv)) if value > bound]
         raise TheoremViolationError(Biquaternion.from_coefficients(*c), residual, failures)
-    # as in decompose, a zero modulus has no direction (the residual test rules it out here)
-    mu = PureUnit.from_vector(xr, yr, zr) if b > 0.0 else None
-    nu = PureUnit.from_vector(xi, yi, zi) if d > 0.0 else None
+    mu = PureUnit.from_vector(xr, yr, zr)
+    if d <= tol:
+        return UnitPure(mu), residual
+    nu = PureUnit.from_vector(xi, yi, zi)
     # keep the reported nu perpendicular to mu
     dot = mu.dot(nu)
     if abs(dot) > tol:

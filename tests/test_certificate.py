@@ -2,9 +2,10 @@
 wire format, the residual, the classifier, the lattice census and the
 CLI's exit codes.
 
-The identities run the library's own product formulas (``algebra.hamilton``
-and ``algebra.mul_coefficients`` take any number type) on sympy symbols and
-check them by expansion alone; ``sympy.solve`` is never used.
+The identities run the library's own product formulas (``algebra.hamilton``,
+``algebra.mul_coefficients`` and ``algebra.square_plus_one`` take any number
+type) on sympy symbols and check them by expansion and ideal membership
+alone; ``sympy.solve`` is never used.
 """
 
 import contextlib
@@ -116,6 +117,37 @@ def test_v_dot_v_on_unit_directions():
     _, remainder = sympy.reduced(sympy.expand(sum(u * u for u in v)), units, *mu, *nu)
     dot = sum(m * n for m, n in zip(mu, nu))
     assert sympy.expand(remainder - (b * b - d * d + 2 * sympy.I * b * d * dot)) == 0
+
+
+def test_v_zero_branch_is_plus_or_minus_I():
+    # certificate step 3: at v = 0, q^2 + 1 is the scalar w^2 + 1 = (w - i)(w + i),
+    # so, C having no zero divisors, q is a root exactly at w = +-i: the roots +-I
+    w = sympy.symbols("w")
+    scalar, *vector = square_plus_one(w, 0, 0, 0)
+    assert sympy.expand(scalar - (w - sympy.I) * (w + sympy.I)) == 0
+    assert vector == [0, 0, 0]
+    for sign in (1, -1):
+        assert all(sympy.expand(part) == 0 for part in square_plus_one(sign * sympy.I, 0, 0, 0))
+
+
+def test_w_zero_families_square_to_minus_one():
+    # certificate step 5, the converse for both w = 0 families: with
+    # v = b mu + I d nu, every real and imaginary part of q^2 + 1 lies in the
+    # ideal of |mu|^2 - 1, |nu|^2 - 1, mu.nu and b^2 - d^2 - 1; d = 0 is the
+    # unit pure root mu, d > 0 the nontrivial one, where b = cosh t and
+    # d = sinh t meet the hyperbola
+    b, d, t = sympy.symbols("b d t", real=True)
+    mu = sympy.symbols("mu_x mu_y mu_z", real=True)
+    nu = sympy.symbols("nu_x nu_y nu_z", real=True)
+    v = [b * m + sympy.I * d * n for m, n in zip(mu, nu)]
+    ideal = sympy.groebner([sum(m * m for m in mu) - 1, sum(n * n for n in nu) - 1,
+                            sum(m * n for m, n in zip(mu, nu)), b * b - d * d - 1],
+                           b, d, *mu, *nu, order="grevlex")
+    parts = [sympy.expand(p).as_real_imag() for p in square_plus_one(0, *v)]
+    assert all(ideal.contains(part) for pair in parts for part in pair)
+    assert not ideal.contains(parts[0][0] - 1)   # membership is not vacuous
+    hyperbola = sympy.cosh(t) ** 2 - sympy.sinh(t) ** 2 - 1
+    assert sympy.expand(hyperbola.rewrite(sympy.exp)) == 0
 
 
 def test_constraint_residuals_closed_forms():
@@ -347,8 +379,6 @@ def _decomposed_classify(c, tol=DEFAULT_TOL):
     form = decompose(c)
     if form.b <= tol and form.d <= tol:
         return ImaginaryUnit(1 if form.c >= 0.0 else -1), residual
-    if form.d <= tol and abs(form.c) <= tol:
-        return UnitPure(form.mu), residual
     x, y, z = complex(c[1], c[5]), complex(c[2], c[6]), complex(c[3], c[7])
     w, vv = abs(complex(c[0], c[4])), abs(x * x + y * y + z * z - 1.0)
     norm = math.hypot(*c)
@@ -357,7 +387,12 @@ def _decomposed_classify(c, tol=DEFAULT_TOL):
         failures = [f"{name} = {value!r} > tol"
                     for name, value in (("|w|", w), ("|v.v - 1|", vv)) if value > bound]
         raise TheoremViolationError(Biquaternion.from_coefficients(*c), residual, failures)
-    mu, nu = form.mu, form.nu
+    # b = 0 passes the checks only under a faked residual and a bound made
+    # huge by |w|; decompose has no mu there, the classifier's normalization fails
+    mu = form.mu if form.mu is not None else PureUnit.from_vector(*c[1:4])
+    if form.d <= tol:
+        return UnitPure(mu), residual
+    nu = form.nu
     dot = mu.dot(nu)
     if abs(dot) > tol:
         nu = PureUnit.from_vector(nu.x - dot * mu.x, nu.y - dot * mu.y, nu.z - dot * mu.z)
@@ -393,6 +428,8 @@ NEAR_ROOTS = st.builds(lambda c, e: tuple(u + v for u, v in zip(c, e)), ROOTS, N
 @example((0.0, math.sqrt(1.0 + 1e-8), 0.0, 0.0, 0.0, 1.5e-13, 1e-4, 0.0))   # |dot| ~ 1.5 tol
 @example((0.0, 1.0, 0.0, 0.0, 1e-9, 0.0, 0.0, 0.0))   # c at tol
 @example((0.0, 1e-9, 0.0, 0.0, 1.0, 1e-9, 0.0, 0.0))   # b and d at tol
+@example((0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))   # unit-pure shaped, |v.v - 1| = 0.75
+@example((1e20, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0))   # b = 0, checks pass on a faked residual
 def test_one_pass_classifier_is_the_decomposed_route(coeffs):
     # same verdict, fields and residual bit for bit; and with the residual
     # faked to 0, so that the family checks run on any input, the same

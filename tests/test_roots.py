@@ -432,6 +432,9 @@ def test_every_family_check_reports_its_failure(monkeypatch):
          ("|w| = 1.0 > tol", "|v.v - 1| = 2.0 > tol")),
         ((0.0, 2.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0),
          ("|w| = 1.0 > tol", "|v.v - 1| = 2.0 > tol")),
+        # shaped like a unit pure root (d = c = 0), but |v| = 0.5
+        ((0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+         ("|v.v - 1| = 0.75 > tol",)),
     )
     for coeffs, messages in cases:
         with pytest.raises(TheoremViolationError) as excinfo:
