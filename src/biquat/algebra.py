@@ -14,7 +14,10 @@ those symbols, and ``term_table`` lays out the pairwise products of a
 sum's terms, as the worked examples of the paper do.
 
 All types are immutable values and all operations are pure functions,
-so they are safe to share between threads.
+so they are safe to share between threads. Each value type's ``__init__``
+validates its arguments once and then stores each field once.
+``PureUnit.from_vector`` is the one constructor that skips the unit-norm
+check, because it divides by the modulus it has just taken.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def check_tolerance(name: str, value: float, *, allow_zero: bool = False) -> Non
         raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Quaternion:
     """Real quaternion ``w + x*i + y*j + z*k``."""
 
@@ -57,17 +60,15 @@ class Quaternion:
     y: float
     z: float
 
-    def __post_init__(self):
-        w, x, y, z = self.w, self.x, self.y, self.z
+    def __init__(self, w: float, x: float, y: float, z: float):
         if not (type(w) is type(x) is type(y) is type(z) is float):
             w, x, y, z = float(w), float(x), float(y), float(z)
-            object.__setattr__(self, "w", w)
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
-            object.__setattr__(self, "z", z)
-        if not (math.isfinite(w) and math.isfinite(x)
-                and math.isfinite(y) and math.isfinite(z)):
+        if not math.isfinite(w + x + y + z):   # a finite sum may still overflow
             _check_finite("Quaternion", w, x, y, z)
+        _set_w(self, w)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def __add__(self, other):
         if not isinstance(other, Quaternion):
@@ -105,7 +106,7 @@ class Quaternion:
                 and abs(self.y - other.y) <= tol and abs(self.z - other.z) <= tol)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PureUnit:
     """Unit pure quaternion: zero scalar part, ``x^2 + y^2 + z^2 = 1``."""
 
@@ -113,18 +114,17 @@ class PureUnit:
     y: float
     z: float
 
-    def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
+    def __init__(self, x: float, y: float, z: float):
         if not (type(x) is type(y) is type(z) is float):
             x, y, z = float(x), float(y), float(z)
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
-            object.__setattr__(self, "z", z)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        if not math.isfinite(x + y + z):
             _check_finite("PureUnit", x, y, z)
         n = math.hypot(x, y, z)
         if abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"PureUnit requires unit norm, got {n!r}")
+        _set_ux(self, x)
+        _set_uy(self, y)
+        _set_uz(self, z)
 
     @classmethod
     def from_vector(cls, x: float, y: float, z: float) -> PureUnit:
@@ -133,19 +133,26 @@ class PureUnit:
         A modulus below the smallest normal double keeps only a few bits,
         and one above the largest is inf, so such a vector is first scaled
         by an exact power of two. A non-finite component is a ValueError
-        that names it.
+        that names it. The quotient by the modulus is unit to a few ulps,
+        so it is stored without the unit-norm check of ``__init__``.
         """
+        if not (type(x) is type(y) is type(z) is float):
+            x, y, z = float(x), float(y), float(z)
         n = math.hypot(x, y, z)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         if n < sys.float_info.min:
             x, y, z = x * 2.0 ** 600, y * 2.0 ** 600, z * 2.0 ** 600
             n = math.hypot(x, y, z)
-        elif n > sys.float_info.max:
+        elif not n <= sys.float_info.max:   # inf, or nan from a nan component
             _check_finite("PureUnit", x, y, z)   # an inf component would end as inf / inf
             x, y, z = x * 2.0 ** -600, y * 2.0 ** -600, z * 2.0 ** -600
             n = math.hypot(x, y, z)
-        return cls(x / n, y / n, z / n)
+        unit = object.__new__(cls)
+        _set_ux(unit, x / n)
+        _set_uy(unit, y / n)
+        _set_uz(unit, z / n)
+        return unit
 
     def dot(self, other: PureUnit) -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -161,12 +168,16 @@ class PureUnit:
                 and abs(self.z - other.z) <= tol)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Biquaternion:
     """Biquaternion ``qr + qi*I`` with real-quaternion parts ``qr`` and ``qi``."""
 
     qr: Quaternion
     qi: Quaternion
+
+    def __init__(self, qr: Quaternion, qi: Quaternion):
+        _set_qr(self, qr)
+        _set_qi(self, qi)
 
     @classmethod
     def from_coefficients(cls, wr, xr, yr, zr, wi, xi, yi, zi) -> Biquaternion:
@@ -248,6 +259,13 @@ class Biquaternion:
     def isclose(self, other: Biquaternion, tol: float = DEFAULT_TOL) -> bool:
         return all(abs(a - b) <= tol
                    for a, b in zip(self.coefficients(), other.coefficients()))
+
+
+# Each __init__ validates first, then stores every field once through its
+# slot's descriptor, which a frozen dataclass's __setattr__ does not guard.
+_set_w, _set_x, _set_y, _set_z = (Quaternion.__dict__[f].__set__ for f in "wxyz")
+_set_ux, _set_uy, _set_uz = (PureUnit.__dict__[f].__set__ for f in "xyz")
+_set_qr, _set_qi = (Biquaternion.__dict__[f].__set__ for f in ("qr", "qi"))
 
 
 def hamilton(p, q):

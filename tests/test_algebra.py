@@ -1,9 +1,15 @@
+import copy
+import dataclasses
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from biquat.algebra import (
+    UNIT_TOL,
     Biquaternion,
     PureUnit,
     Quaternion,
@@ -278,6 +284,9 @@ def test_nonfinite_coefficients_rejected():
         Biquaternion.from_coefficients(0, 1, 0, 0, 0, 0, float("inf"), 0)
     with pytest.raises(ValueError, match="finite"):
         Biquaternion.from_complex_components(complex(0, float("-inf")), 0j, 0j, 0j)
+    # finite coefficients are accepted even where their sum overflows
+    q = Quaternion(1e308, 1e308, 0.0, 0.0)
+    assert (q.w, q.x, q.y, q.z) == (1e308, 1e308, 0.0, 0.0)
 
 
 def test_quaternion_stores_plain_floats():
@@ -292,7 +301,10 @@ def test_quaternion_stores_plain_floats():
 
 def test_pure_unit_stores_plain_floats():
     for u in (PureUnit(1, 0, 0), PureUnit(*np.array([0.0, 0.6, 0.8])),
-              PureUnit(0.6, np.float64(0.8), 0.0), PureUnit(0.0, 0.6, -0.8)):
+              PureUnit(0.6, np.float64(0.8), 0.0), PureUnit(0.0, 0.6, -0.8),
+              PureUnit.from_vector(*np.array([0.0, 3.0, 4.0])),
+              PureUnit.from_vector(3, np.float64(4.0), 0),
+              PureUnit.from_vector(*np.array([5e-324, 0.0, 0.0]))):
         assert all(type(v) is float for v in (u.x, u.y, u.z))
     with pytest.raises(ValueError, match="PureUnit coefficients must be finite, got inf"):
         PureUnit(0.0, float("inf"), 0.0)
@@ -333,6 +345,54 @@ def test_pure_unit_validation():
         PureUnit.from_vector(math.inf, 0.0, 0.0)
     with pytest.raises(ValueError, match="^PureUnit coefficients must be finite, got -inf$"):
         PureUnit.from_vector(1.0, -math.inf, 0.0)
+    for v in ((math.nan, 0.0, 0.0), (1.0, 2.0, math.nan), (math.nan, math.inf, 0.0)):
+        with pytest.raises(ValueError, match="^PureUnit coefficients must be finite, got nan$"):
+            PureUnit.from_vector(*v)
     assert (-u).isclose(PureUnit(-0.6, -0.8, 0.0), 1e-15)
     assert u.dot(u) == pytest.approx(1.0, abs=1e-15)
     assert u.as_quaternion() == Quaternion(0, 0.6, 0.8, 0)
+
+
+VALUES = (Quaternion(1, -2.5, 0.0, 4), PureUnit(0.6, 0.8, 0.0),
+          PureUnit.from_vector(1.0, -2.0, 2.0), Biquaternion.from_coefficients(1, 2, 3, 4, -5, 6, 7, 8))
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_are_frozen_dataclass_values(value):
+    fields = dataclasses.fields(value)
+    # a field added later without a line in __init__ would be left unset
+    assert all(hasattr(value, f.name) for f in fields)
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+    kwargs = {f.name: getattr(value, f.name) for f in fields}
+    assert type(value)(**kwargs) == value
+    assert dataclasses.replace(value) == value
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+
+def test_replace_validates_like_the_constructor():
+    with pytest.raises(ValueError, match="^PureUnit requires unit norm, got 2.0$"):
+        dataclasses.replace(PureUnit(1.0, 0.0, 0.0), x=2.0)
+    with pytest.raises(ValueError, match="^PureUnit requires unit norm, got 1.5$"):
+        dataclasses.replace(PureUnit.from_vector(1.0, 0.0, 0.0), x=1.5)
+    with pytest.raises(ValueError, match="^Quaternion coefficients must be finite, got nan$"):
+        dataclasses.replace(Quaternion(1, 2, 3, 4), y=math.nan)
+    assert dataclasses.replace(PureUnit(1.0, 0.0, 0.0), x=0.0, z=-1).z == -1.0
+
+
+MANTISSA = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.tuples(MANTISSA, MANTISSA, MANTISSA), st.integers(-320, 300))
+def test_from_vector_is_unit_at_every_scale(direction, exponent):
+    x, y, z = (m * 10.0 ** exponent for m in direction)
+    assume(not x == y == z == 0.0)
+    u = PureUnit.from_vector(x, y, z)
+    assert abs(math.hypot(u.x, u.y, u.z) - 1.0) <= UNIT_TOL
+    n = math.hypot(x, y, z)
+    if n >= sys.float_info.min:   # no rescaling: the quotients themselves, bit for bit
+        v = PureUnit(x / n, y / n, z / n)
+        assert [c.hex() for c in (u.x, u.y, u.z)] == [c.hex() for c in (v.x, v.y, v.z)]
