@@ -40,6 +40,13 @@ def _check_finite(kind: str, *values: float) -> None:
             raise ValueError(f"{kind} coefficients must be finite, got {v!r}")
 
 
+def _check_parts(qr, qi) -> None:
+    for name, part in (("qr", qr), ("qi", qi)):
+        if not isinstance(part, Quaternion):
+            raise TypeError(f"Biquaternion {name} must be a Quaternion, "
+                            f"got {type(part).__name__}")
+
+
 def check_tolerance(name: str, value: float, *, allow_zero: bool = False) -> None:
     """Reject a tolerance that is not finite and positive (or zero, if allowed).
 
@@ -170,12 +177,17 @@ class PureUnit:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Biquaternion:
-    """Biquaternion ``qr + qi*I`` with real-quaternion parts ``qr`` and ``qi``."""
+    """Biquaternion ``qr + qi*I`` with real-quaternion parts ``qr`` and ``qi``.
+
+    A part that is not a ``Quaternion`` is a ``TypeError`` that names it.
+    """
 
     qr: Quaternion
     qi: Quaternion
 
     def __init__(self, qr: Quaternion, qi: Quaternion):
+        if not (type(qr) is type(qi) is Quaternion):
+            _check_parts(qr, qi)
         _set_qr(self, qr)
         _set_qi(self, qi)
 
@@ -420,11 +432,9 @@ class TermTable:
 
     @property
     def total(self) -> Biquaternion:
-        total = Biquaternion.from_scalar(0.0)
-        for row in self.entries:
-            for entry in row:
-                total = total + entry
-        return total
+        # a left fold from 0, row by row, as each total's last bits depend on the order
+        return sum((entry for row in self.entries for entry in row),
+                   Biquaternion.from_scalar(0.0))
 
     def render(self, digits: int = 17) -> str:
         labels = [format_terms(p, digits) for p in self.parts]

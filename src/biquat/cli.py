@@ -184,11 +184,27 @@ def _cmd_square(args) -> int:
     return EXIT_OK
 
 
-# The output name of each verdict, in text and JSON alike.
-_FAMILY_NAMES = {Nontrivial: "nontrivial", UnitPure: "unit-pure",
-                 ImaginaryUnit: "imaginary-unit", NotRoot: "not-a-root",
-                 TheoremViolationError: "theorem-violation"}
+# Each verdict's wire form, in text and JSON alike: its output name, then its
+# fields in output order. _fields gives their values in that order.
+_VERDICTS = {Nontrivial: ("nontrivial", "mu", "nu", "t"), UnitPure: ("unit-pure", "mu"),
+             ImaginaryUnit: ("imaginary-unit", "sign"), NotRoot: ("not-a-root",),
+             TheoremViolationError: ("theorem-violation",)}
+_DIRECTIONS = ("mu", "nu")   # the fields written as their three numbers
 _PARSE_ERROR = "parse-error"   # the record of a malformed classify line
+
+
+def _fields(result) -> tuple:
+    """A verdict's field values in ``_VERDICTS`` order, a direction as its three numbers."""
+    kind = type(result)
+    if kind is Nontrivial:
+        mu, nu = result.mu, result.nu
+        return (mu.x, mu.y, mu.z, nu.x, nu.y, nu.z, result.t)
+    if kind is UnitPure:
+        mu = result.mu
+        return (mu.x, mu.y, mu.z)
+    if kind is ImaginaryUnit:
+        return (result.sign,)
+    return ()
 
 
 def _classification_record(result, residual: float | None) -> dict:
@@ -196,16 +212,14 @@ def _classification_record(result, residual: float | None) -> dict:
     for a theorem violation its failures; a ParseError's is its message."""
     if type(result) is ParseError:
         return {"family": _PARSE_ERROR, "error": str(result)}
-    record = {"family": _FAMILY_NAMES[type(result)]}
-    if isinstance(result, Nontrivial):
-        record.update(mu=[result.mu.x, result.mu.y, result.mu.z],
-                      nu=[result.nu.x, result.nu.y, result.nu.z], t=result.t)
-    elif isinstance(result, UnitPure):
-        record["mu"] = [result.mu.x, result.mu.y, result.mu.z]
-    elif isinstance(result, ImaginaryUnit):
-        record["sign"] = result.sign
+    name, *fields = _VERDICTS[type(result)]
+    values = iter(_fields(result))
+    record = {"family": name}
+    for field in fields:
+        record[field] = ([next(values), next(values), next(values)] if field in _DIRECTIONS
+                         else next(values))
     record["residual"] = residual
-    if isinstance(result, TheoremViolationError):
+    if type(result) is TheoremViolationError:
         record["failures"] = list(result.failures)
     return record
 
@@ -214,32 +228,20 @@ def _classification_templates(digits: int) -> dict:
     """One text template per verdict: its name, its fields, the residual, and
     for a theorem violation its failures."""
     g = f"%.{digits}g"
-    pure = f"({g} {g} {g})"
-    fields = {Nontrivial: f" mu={pure} nu={pure} t={g}", UnitPure: f" mu={pure}",
-              ImaginaryUnit: " sign=%+d"}
-    templates = {kind: f"{name}{fields.get(kind, '')} residual={g}"
-                 for kind, name in _FAMILY_NAMES.items()}
+    forms = dict.fromkeys(_DIRECTIONS, f"({g} {g} {g})") | {"t": g, "sign": "%+d"}
+    templates = {kind: " ".join([name, *(f"{f}={forms[f]}" for f in fields), f"residual={g}"])
+                 for kind, (name, *fields) in _VERDICTS.items()}
     templates[TheoremViolationError] += " (%s)"
     return templates
 
 
 def _classification_line(templates: dict, result, residual: float | None) -> str:
     kind = type(result)
-    if kind is Nontrivial:
-        mu, nu = result.mu, result.nu
-        values = (mu.x, mu.y, mu.z, nu.x, nu.y, nu.z, result.t, residual)
-    elif kind is UnitPure:
-        mu = result.mu
-        values = (mu.x, mu.y, mu.z, residual)
-    elif kind is ImaginaryUnit:
-        values = (result.sign, residual)
-    elif kind is TheoremViolationError:
-        values = (residual, "; ".join(result.failures))
-    elif kind is ParseError:
+    if kind is ParseError:
         return f"{_PARSE_ERROR} ({result})"
-    else:
-        values = (residual,)
-    return templates[kind] % values
+    if kind is TheoremViolationError:
+        return templates[kind] % (residual, "; ".join(result.failures))
+    return templates[kind] % (*_fields(result), residual)
 
 
 def _classification_formatter(args):
@@ -342,7 +344,7 @@ def _cmd_lattice(args) -> int:
             "tolerance": report.tolerance,
             "hits": [{"a": h.a, "b": h.b, "c": h.c, "d": h.d,
                       "residual": h.residual,
-                      "family": _FAMILY_NAMES[type(h.classification)]}
+                      "family": _VERDICTS[type(h.classification)][0]}
                      for h in report.hits],
             "violations": list(report.violations),
         }))
@@ -352,7 +354,7 @@ def _cmd_lattice(args) -> int:
               f"{len(report.hits)} hits, {len(report.violations)} violations")
         hit = f"hit a={g} b={g} c={g} d={g} residual={g} family=%s"
         for h in report.hits:
-            family = _FAMILY_NAMES[type(h.classification)]
+            family = _VERDICTS[type(h.classification)][0]
             print(hit % (h.a, h.b, h.c, h.d, h.residual, family))
         for message in report.violations:
             print(f"violation: {message}")

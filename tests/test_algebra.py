@@ -382,6 +382,18 @@ def test_replace_validates_like_the_constructor():
     assert dataclasses.replace(PureUnit(1.0, 0.0, 0.0), x=0.0, z=-1).z == -1.0
 
 
+def test_biquaternion_parts_must_be_quaternions():
+    q = Biquaternion.from_coefficients(1, 2, 3, 4, 5, 6, 7, 8)
+    with pytest.raises(TypeError, match="^Biquaternion qi must be a Quaternion, got str$"):
+        Biquaternion(q.qr, "x")
+    with pytest.raises(TypeError, match="^Biquaternion qr must be a Quaternion, got float$"):
+        Biquaternion(1.0, "x")
+    with pytest.raises(TypeError, match="^Biquaternion qi must be a Quaternion, got float$"):
+        dataclasses.replace(q, qi=1.0)
+    with pytest.raises(TypeError, match="^Biquaternion qr must be a Quaternion, got PureUnit$"):
+        Biquaternion(PureUnit(1.0, 0.0, 0.0), q.qi)
+
+
 MANTISSA = st.floats(-1.0, 1.0, allow_nan=False)
 
 

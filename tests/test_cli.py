@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -467,6 +468,14 @@ def test_violation_in_a_stream_is_one_more_verdict(monkeypatch, capsys, as_json)
         assert [json.loads(line)["family"] for line in out.splitlines()] == families
     else:
         assert [line.split()[0] for line in out.splitlines()] == families
+
+
+def test_every_verdict_has_a_wire_form():
+    # a new family cannot reach classify without a name and fields to print
+    kinds = (*typing.get_args(roots.RootClassification), TheoremViolationError)
+    assert set(cli._VERDICTS) == set(kinds)
+    assert [cli._VERDICTS[kind][0] for kind in kinds] == [
+        "nontrivial", "unit-pure", "imaginary-unit", "not-a-root", "theorem-violation"]
 
 
 def test_newton_landing_point_near_the_edge_is_nontrivial(capsys):
