@@ -434,6 +434,10 @@ def _digits(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    try:   # % takes a precision up to C's INT_MAX
+        f"%.{value}g" % 0.0
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {value}") from None
     return value
 
 

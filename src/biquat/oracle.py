@@ -17,11 +17,14 @@ built once per scan through ``algebra.hamilton``, the one copy of the
 product formula, with none of the closed forms of ``roots``. Negating qr
 or qi in q = qr + qi*I flips only the sign of the I-part of q^2 + 1, and
 conjugating both parts, (a, b, c, d) -> (a, -b, c, -d), conjugates
-q^2 + 1; so an eighth of the grid is computed, one matrix product per
-a <= 0 over b <= 0, and each other point takes the value of its
-representative there. Its values differ from the
-scalar route (``algebra.square_residual``, which squares in the complex
-view) by roundoff, so each point near the tolerance is decided by
+q^2 + 1; so an eighth of the grid is computed, and each other point takes
+the value of its representative there. As |q^2 + 1| is at least the
+modulus of its scalar real part, h0 + t0_0 of the features, the dot
+product is taken only where that part can vanish: over the (a, b) rows
+sorted by h0, in blocks, each against the run of (c, d) columns, sorted
+by t0_0, that a roundoff bound leaves it. The scan's values differ from
+the scalar route (``algebra.square_residual``, which squares in the
+complex view) by roundoff, so each point near the tolerance is decided by
 ``classify_coefficients``. Newton stays in the complex view: it iterates
 on the four complex components of q and measures them with
 ``algebra.complex_residual``, the formula of ``square_residual``.
@@ -86,6 +89,20 @@ _T_MAX = math.acosh(sys.float_info.max)   # the largest t whose cosh is finite
 # points have the same |q| and, as conjugation conjugates q^2 + 1, the same
 # exact residual; the bound, which speaks only of those, covers both.
 _SCAN_ERROR = 256.0
+
+# Error of the scan's scalar part S0 = h0 + t0_0 of q^2 + 1, in units of
+# eps s, s = 4 bound^2 + 1 >= |q|^2 + 1 (to within 1e-9, for |mu| and |nu|).
+# |q^2 + 1| >= |S0|, so a hit, whose exact residual is at most near (see the
+# cut in lattice_search), has exact |S0| <= near; so has its representative,
+# of the same exact residual (see _SCAN_ERROR). h0 and the scalar part of
+# qi*qi each sum four products of the stored floats, within gamma_4 ~ 2 eps
+# of |qr|^2 and of |qi|^2; adding 1 to the latter and t0_0 to h0 round once
+# each, so the computed h0 + t0_0 lies within 3 eps s of S0. The search keys
+# -h0 -/+ margin round by at most eps/2 (|h0| + margin): within 4.5 eps s
+# while margin <= 8 s, and a larger margin puts both keys more than 6 s from
+# every t0_0, |t0_0| <= s, so that no column is cut. 3 + 4.5 = 7.5; the
+# constant doubles that.
+_SCALAR_ERROR = 16.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -170,6 +187,10 @@ class LatticeSpec:
     nu: PureUnit
 
     def __post_init__(self):
+        for name, unit in (("mu", self.mu), ("nu", self.nu)):
+            if not isinstance(unit, PureUnit):
+                raise TypeError(f"LatticeSpec {name} must be a PureUnit, "
+                                f"got {type(unit).__name__}")
         if self.bound <= 0.0 or self.step <= 0.0:
             raise ValueError("bound and step must be positive")
         ratio = self.bound / self.step
@@ -255,18 +276,23 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
     The scan writes |q^2 + 1|^2 as a dot product of eight features of
     (a, b) with eight features of (c, d), built once by ``algebra.hamilton``
     with no closed form of ``roots``, and computes an eighth of the grid:
-    a <= 0 and b <= 0 against the first half of the (c, d) plane, one
-    matrix product per a. Every other point takes the value of its
-    representative there under the sign maps (a, b) -> (-a, -b),
-    (c, d) -> (-c, -d) and (b, d) -> (-b, -d), which leave |q^2 + 1|
-    unchanged. The values may be negative near a root, and differ from the
-    exact ones by up to ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. So every point
-    within a roundoff margin of ``tol`` is re-checked by
-    ``classify_coefficients``, whose residual alone decides a hit. Each
-    candidate's eight images go into one set of (a, b, c, d) axis-index
-    tuples, sorted once, so hits come in lattice index order (a, then b, c,
-    d); the working set is one block of k*(n*n + 1)/2 doubles,
-    k = n//2 + 1 (about 2 MB at the point cap), plus the candidate tuples.
+    a <= 0 and b <= 0 against the first half of the (c, d) plane. Every
+    other point takes the value of its representative there under the sign
+    maps (a, b) -> (-a, -b), (c, d) -> (-c, -d) and (b, d) -> (-b, -d),
+    which leave |q^2 + 1| unchanged. Its scalar real part h0 + t0_0 bounds
+    |q^2 + 1| from below, so a pair whose computed h0 + t0_0 lies further
+    than a roundoff margin (``_SCALAR_ERROR``) from 0 cannot hold a hit: the
+    k*k rows, sorted by h0, go in blocks of k, each against only the run of
+    columns, sorted by t0_0, within that margin of its -h0 values. The dot
+    products may be negative near a root, and differ from the exact ones by
+    up to ``_SCAN_ERROR`` eps (|q|^2 + 1)^2. So every point within a
+    roundoff margin of ``tol`` is re-checked by ``classify_coefficients``,
+    whose residual alone decides a hit. Each candidate's eight images go
+    into one set of (a, b, c, d) axis-index tuples, sorted once by flat
+    index, so hits come in lattice index order (a, then b, c, d); the
+    working set is the sorted feature tables, one buffer of
+    k*(n*n + 1)/2 doubles, k = n//2 + 1 (about 2 MB at the point cap),
+    that the blocks' dot products fill in turn, and the candidate tuples.
     """
     check_tolerance("tol", tol)
     total_points = spec.point_count()
@@ -295,20 +321,52 @@ def lattice_search(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SearchReport:
 
     points: set[tuple[int, int, int, int]] = set()
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, half = _scan_features(spec)
-        k, width = len(rows), half.shape[1]
+        rows, plane = _scan_features(spec)
+        k, width = len(rows), plane.shape[1]
+        # rows sorted by h0 = rows[..., 1] / 2, columns by t0_0 = plane[1]; a
+        # block of k rows meets the columns within margin of its -h0 values.
+        # Where s is finite so are h0 and t0_0, at most s in size; where
+        # margin is not, the bound says nothing: every block meets every column
+        row_order = np.argsort(rows[..., 1], axis=None, kind="stable")
+        column_order = np.argsort(plane[1], kind="stable")
+        rows = rows.reshape(k * k, 8)[row_order].reshape(k, k, 8)
+        plane = np.take(plane, column_order, axis=1)
+        margin = near + _SCALAR_ERROR * eps * s
+        if math.isfinite(margin):
+            first = np.searchsorted(plane[1], rows[:, -1, 1] * -0.5 - margin, "left").tolist()
+            stop = np.searchsorted(plane[1], rows[:, 0, 1] * -0.5 + margin, "right").tolist()
+        else:
+            first, stop = [0] * k, [width] * k
+        # the blocks' dot products fill, side by side, a buffer of one
+        # unpruned block, k by width, and each filling is cut at once: a
+        # point under the cut in slot j is in the last block starting at or
+        # before j, at sorted column j + (its first - its start)
         res2 = np.empty((k, width))
-        for a in range(k):
-            np.matmul(rows[a], half, out=res2)
-            for idx in np.flatnonzero(res2 <= cut2).tolist():
-                b, cd = divmod(idx, width)
+        block = 0
+        while block < k:
+            group, starts, shifts, used = block, [], [], 0
+            while block < k and used + stop[block] - first[block] <= width:
+                lo, hi = first[block], stop[block]
+                np.matmul(rows[block], plane[:, lo:hi], out=res2[:, used:used + hi - lo])
+                starts.append(used)
+                shifts.append(lo - used)
+                used += hi - lo
+                block += 1
+            r, j = np.divmod(np.flatnonzero(res2[:, :used] <= cut2), used)
+            which = np.searchsorted(starts, j, "right") - 1
+            for ab, cd in zip(row_order[(group + which) * k + r].tolist(),
+                              column_order[j + np.take(shifts, which)].tolist()):
+                a, b = divmod(ab, k)
                 c, d = divmod(cd, n)
                 # its images under (a, b) -> (-a, -b), (c, d) -> (-c, -d) and
                 # (b, d) -> (-b, -d); axis index last - i is the negation of i
                 for ra, rb in ((a, b), (last - a, last - b)):
                     for rc, rd in ((c, d), (last - c, last - d)):
                         points.update(((ra, rb, rc, rd), (ra, last - rb, rc, last - rd)))
-    for ia, ib, ic, id_ in sorted(points):
+    # lattice index order; a flat index is an int compare where a tuple's
+    # falls through to its later entries
+    for ia, ib, ic, id_ in sorted(
+            points, key=lambda p: ((p[0] * n + p[1]) * n + p[2]) * n + p[3]):
         a, b, c, d = values[ia], values[ib], values[ic], values[id_]
         coeffs = (a, b * mu.x, b * mu.y, b * mu.z, c, d * nu.x, d * nu.y, d * nu.z)
         try:

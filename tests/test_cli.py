@@ -542,6 +542,24 @@ def test_negative_digits_is_a_usage_error(monkeypatch, capsys):
     assert captured.err.endswith("error: unrecognized arguments: --digits 3\n")
 
 
+def test_unformattable_digits_is_a_usage_error(monkeypatch, capsys):
+    # % takes a precision up to C's INT_MAX; a larger --digits is refused while
+    # parsing, before stdin is read, whether stdin is empty or not
+    pair = ["--mu", "1 0 0", "--nu", "0 1 0"]
+    for argv in (["classify"], ["square"], ["lattice", *pair]):
+        for text in ("", SQRT2_ROOT + "\n"):
+            stdin = io.StringIO(text)
+            monkeypatch.setattr("sys.stdin", stdin)
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--digits", "99999999999"])
+            assert excinfo.value.code == 2
+            assert stdin.tell() == 0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(
+                "error: argument --digits: precision too big, got 99999999999\n")
+
+
 def test_square_overflow_is_reported(capsys):
     assert main(["square", OVERFLOW_LINE]) == 2
     captured = capsys.readouterr()

@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from biquat.oracle import (
     LatticeHit,
     LatticeSpec,
     NonConvergenceError,
+    _SCALAR_ERROR,
     _SCAN_ERROR,
     _scan_features,
     lattice_search,
@@ -208,6 +210,15 @@ def test_lattice_guards():
             lattice_search(LatticeSpec(0.5, 0.25, MU_I, NU_J), bad)
 
 
+def test_lattice_directions_must_be_pure_units():
+    # a tuple in place of a PureUnit is refused at construction, by name,
+    # not later as an AttributeError inside the scan
+    for args, name in (((1.0, 0.0, 0.0), NU_J), "mu"), ((MU_I, (0.0, 1.0, 0.0)), "nu"):
+        with pytest.raises(TypeError, match=f"LatticeSpec {name} must be a PureUnit, "
+                                            "got tuple"):
+            LatticeSpec(1.0, 0.5, *args)
+
+
 def test_lattice_cap_checked_without_building_the_grid():
     spec = LatticeSpec(1e9, 1.0, MU_I, NU_J)   # 2e9 + 1 points per axis
     tracemalloc.start()
@@ -289,7 +300,8 @@ def test_lattice_filter_keeps_every_scalar_hit_at_large_tol():
 def _scan_blocks(spec):
     """The scan's squared residuals over its representatives, as a
     (k, k, (n*n + 1)/2) array by a <= 0, b <= 0 and c*n + d up to the
-    centre: one matrix product per value of a, as in lattice_search."""
+    centre: one matrix product per value of a over every column, the
+    unpruned form of lattice_search's dot products."""
     with np.errstate(over="ignore", invalid="ignore"):
         rows, half = _scan_features(spec)
         return np.array([np.matmul(row, half) for row in rows])
@@ -409,6 +421,40 @@ def test_scan_kernel_matches_scalar_route():
                     size = sum(v * v for v in coeffs) + 1.0
                     assert abs(scalar * scalar - blocks.flat[idx]) \
                         <= _SCAN_ERROR * EPS * size * size
+
+
+def test_scan_scalar_part_is_within_its_roundoff_term():
+    # the bound behind lattice_search's pruning, at random points of random
+    # perpendicular and skew pairs: the scalar part h0 + t0_0 of q^2 + 1 that
+    # the scan reads off its features, rows[..., 1] / 2 + plane[1], is within
+    # _SCALAR_ERROR eps (|q|^2 + 1) of the exact scalar part
+    # a^2 - |b mu|^2 + 1 - c^2 + |d nu|^2 of the stored floats, at each of the
+    # representative's eight images
+    rng = np.random.default_rng(115)
+    worst = 0.0
+    for bound, step in ((2.0, 0.25), (3.5, 0.125), (1.5, 0.5), (1e3, 250.0)):
+        mu = sample_unit_pure(rng)
+        for nu in (sample_perpendicular(mu, rng), sample_unit_pure(rng)):
+            spec = LatticeSpec(bound, step, mu, nu)
+            values = spec.axis().tolist()
+            n = len(values)
+            rows, plane = _scan_features(spec)
+            k, width = len(rows), plane.shape[1]
+            for idx in rng.integers(0, k * k * width, 4 * n).tolist():
+                ab, j = divmod(idx, width)
+                a, b, c, d = values[ab // k], values[ab % k], values[j // n], values[j % n]
+                scan = float(rows.flat[8 * ab + 1] / 2.0 + plane[1, j])
+                # negate qr, negate qi, conjugate
+                for r, i, s in itertools.product((1.0, -1.0), repeat=3):
+                    coeffs = (r * a, r * s * b * mu.x, r * s * b * mu.y, r * s * b * mu.z,
+                              i * c, i * s * d * nu.x, i * s * d * nu.y, i * s * d * nu.z)
+                    squares = [Fraction(v) ** 2 for v in coeffs]
+                    exact = sum(u * w for u, w in zip(squares, (1, -1, -1, -1, -1, 1, 1, 1))) + 1
+                    size = sum(v * v for v in coeffs) + 1.0
+                    error = abs(Fraction(scan) - exact) / Fraction(EPS * size)
+                    assert error <= _SCALAR_ERROR
+                    worst = max(worst, error)
+    assert worst > 0   # the sampled points do round
 
 
 def test_lattice_ties_are_decided_by_the_scalar_route():
